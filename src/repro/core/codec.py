@@ -14,11 +14,12 @@ Three framing contexts share the value encoding:
 - **Bound wire frames** (:class:`WireEncoder`/:class:`WireDecoder`): one
   encoder per peer stream, one decoder per accepted stream.  The dynamic
   table persists across frames, so a port reference costs its full UTF-8
-  bytes once per TCP stream and two bytes afterwards.  Definitions ride
-  inline in the defining frame, which is safe because a stream is FIFO and
-  encoder/decoder lifetimes are pinned to the stream (a reconnect resets
-  both sides).  Frames carry a trailing CRC-32 so truncation or bit rot
-  raises :class:`~repro.core.errors.CodecError` instead of mis-decoding.
+  bytes once per TCP stream and two or three bytes afterwards.
+  Definitions ride inline in the defining frame, which is safe because a
+  stream is FIFO and encoder/decoder lifetimes are pinned to the stream (a
+  reconnect resets both sides).  Frames carry a trailing CRC-32 so
+  truncation or bit rot raises :class:`~repro.core.errors.CodecError`
+  instead of mis-decoding.
 - **Self-contained gossip bodies** (:func:`encode_gossip`): a fresh table
   per datagram -- UDP multicast has no per-receiver state -- which still
   vectorizes beautifully because one announcement repeats the same profile
@@ -36,8 +37,9 @@ models the native data's bytes.  The codec therefore inline-encodes only
 structure itself) and carries every other payload out of band at its
 declared size (an ``OBJ`` placeholder in the byte stream, the object
 riding alongside in :attr:`BinaryFrame.objs`).  Anything the codec cannot
-represent falls back to the canonical-JSON wire path per frame, counted by
-the transport's ``codec.fallback`` trace.
+represent -- including ints outside ``-2**69 .. 2**69 - 1``, which a
+10-byte varint cannot carry -- falls back to the canonical-JSON wire path
+per frame, counted by the transport's ``codec.fallback`` trace.
 """
 
 from __future__ import annotations
@@ -148,10 +150,22 @@ STATIC_SYMBOLS: Tuple[str, ...] = (
     "caps", "z", "shard_load", "tiers", "codec-z-ready", "shard-weights",
     "codec_z_peers", "shard_weights",
 )
-_STATIC_IDS: Dict[str, int] = {s: i for i, s in enumerate(STATIC_SYMBOLS)}
 _DYNAMIC_BASE = len(STATIC_SYMBOLS)
+#: One-byte symbol ids below this name a static symbol, so a reader can
+#: resolve them without a varint loop or a table lookup.
+_STATIC_ONE_BYTE = min(_DYNAMIC_BASE, 0x80)
+#: Zigzag-encoded ints must stay below this bound: the decoder stops a
+#: varint at 10 bytes (70 bits), so the representable ints are
+#: ``-2**69 .. 2**69 - 1``.  The encoder raises :class:`TypeError` for
+#: anything wider, like for any other value it cannot represent.
+_ZIGZAG_LIMIT = 1 << 70
 
 _FLOAT = struct.Struct(">d")
+#: A float value with its tag: one pack call per float.
+_TAGGED_FLOAT = struct.Struct(">Bd")
+_CRC = struct.Struct(">I")
+#: Values of the three constant tags, indexed by tag.
+_CONSTANTS = (None, True, False)
 
 
 def json_size(value: Any) -> int:
@@ -201,11 +215,41 @@ def _write_varint(buf: bytearray, value: int) -> None:
     buf.append(value)
 
 
+def _sym_ref(sym: int) -> bytes:
+    """The encoded ``SYM`` reference to symbol id ``sym``: ids stay below
+    ``_DYNAMIC_BASE + DYNAMIC_LIMIT`` (< 2**14), so the varint is one or
+    two bytes."""
+    if sym < 0x80:
+        return bytes((_T_SYM, sym))
+    return bytes((_T_SYM, (sym & 0x7F) | 0x80, sym >> 7))
+
+
+#: Pre-encoded references to the static symbols (2 bytes each), shared
+#: by every encoder.
+_STATIC_REFS: Dict[str, bytes] = {
+    text: _sym_ref(sym) for sym, text in enumerate(STATIC_SYMBOLS)
+}
+
+
+def _write_int(buf: bytearray, value: int) -> None:
+    zigzag = value << 1 if value >= 0 else ~(value << 1)
+    buf.append(_T_INT)
+    if zigzag < 0x80:
+        buf.append(zigzag)
+    elif zigzag < _ZIGZAG_LIMIT:
+        _write_varint(buf, zigzag)
+    else:
+        raise TypeError(
+            f"int of {value.bit_length()} bits is outside the codec's range "
+            "-2**69 .. 2**69 - 1"
+        )
+
+
 def _map_key(key: Any) -> str:
     """Coerce a dict key the way ``json.dumps`` does (parity matters: the
     journal's replayed state must match what the JSON encoding produced)."""
     if isinstance(key, str):
-        return key
+        return str.__str__(key)
     if key is True:
         return "true"
     if key is False:
@@ -219,6 +263,32 @@ def _map_key(key: Any) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(key)}")
 
 
+def _builtin(value: Any) -> Any:
+    """The exact builtin an instance of a builtin's subclass encodes as
+    (``OrderedDict`` -> dict, ``IntEnum`` -> int, a ``str`` subclass ->
+    str, a namedtuple -> list); :class:`TypeError` for anything else."""
+    if isinstance(value, str):
+        return str.__str__(value)
+    if isinstance(value, int):
+        return int.__int__(value)
+    if isinstance(value, float):
+        return float.__float__(value)
+    if isinstance(value, dict):
+        return dict(value.items())
+    if isinstance(value, (list, tuple)):
+        return list(value)
+    if isinstance(value, (bytes, bytearray)):
+        return bytes(value)
+    raise TypeError(
+        f"object of type {type(value).__name__} is not codec-serializable"
+    )
+
+
+def _frame(kind: int, body: bytearray) -> bytes:
+    """``[magic][kind][body][CRC-32 of body]``."""
+    return b"".join((bytes((WIRE_MAGIC, kind)), body, _CRC.pack(zlib.crc32(body))))
+
+
 class WireEncoder:
     """Stateful value encoder; one instance per peer stream (or per
     self-contained frame)."""
@@ -226,78 +296,124 @@ class WireEncoder:
     __slots__ = ("_symbols",)
 
     def __init__(self):
-        self._symbols: Dict[str, int] = {}
+        #: Dynamic symbols in id order: text -> encoded ``SYM`` reference.
+        self._symbols: Dict[str, bytes] = {}
 
     def reset(self) -> None:
         """Drop the dynamic table (the peer stream was reopened; the new
         accepted stream starts a fresh decoder)."""
         self._symbols.clear()
 
+    def _rollback(self, mark: int) -> None:
+        """Forget the symbols defined since the table had ``mark``
+        entries (dicts keep insertion order, so these are the newest)."""
+        symbols = self._symbols
+        while len(symbols) > mark:
+            symbols.popitem()
+
     # -- value encoding ------------------------------------------------------
 
-    def _write_str(self, buf: bytearray, text: str) -> None:
-        sym = _STATIC_IDS.get(text)
-        if sym is None:
-            sym = self._symbols.get(text)
-            if sym is None:
-                if len(text) <= INTERN_MAX_LEN and len(self._symbols) < DYNAMIC_LIMIT:
-                    sym = _DYNAMIC_BASE + len(self._symbols)
-                    self._symbols[text] = sym
-                    raw = text.encode("utf-8")
-                    buf.append(_T_SYMDEF)
-                    _write_varint(buf, sym)
-                    _write_varint(buf, len(raw))
-                    buf += raw
-                else:
-                    raw = text.encode("utf-8")
-                    buf.append(_T_STR)
-                    _write_varint(buf, len(raw))
-                    buf += raw
-                return
-        buf.append(_T_SYM)
-        _write_varint(buf, sym)
+    def _write_new_str(self, buf: bytearray, text: str) -> None:
+        """A string with no symbol yet: define one inline, or ship the
+        text verbatim when it is too long or the table is full."""
+        raw = text.encode("utf-8")
+        symbols = self._symbols
+        if len(text) <= INTERN_MAX_LEN and len(symbols) < DYNAMIC_LIMIT:
+            ref = symbols[text] = _sym_ref(_DYNAMIC_BASE + len(symbols))
+            buf.append(_T_SYMDEF)
+            buf += ref[1:]
+        else:
+            buf.append(_T_STR)
+        if len(raw) < 0x80:
+            buf.append(len(raw))
+        else:
+            _write_varint(buf, len(raw))
+        buf += raw
 
     def _write_value(self, buf: bytearray, value: Any) -> None:
-        if value is None:
-            buf.append(_T_NONE)
-        elif value is True:
-            buf.append(_T_TRUE)
-        elif value is False:
-            buf.append(_T_FALSE)
-        elif isinstance(value, str):
-            self._write_str(buf, value)
-        elif isinstance(value, int):
-            buf.append(_T_INT)
-            _write_varint(buf, value << 1 if value >= 0 else ((-value) << 1) - 1)
-        elif isinstance(value, float):
-            buf.append(_T_FLOAT)
-            buf += _FLOAT.pack(value)
-        elif isinstance(value, dict):
+        # Dispatch on the exact type; scalars inside maps and lists are
+        # written inline rather than through a recursive call each.  Map
+        # keys are mostly protocol field names, so they try the static
+        # table first; string values are mostly runtime data (ids, names,
+        # port references), so they try the dynamic table first.
+        symbols = self._symbols
+        kind = type(value)
+        if kind is str:
+            ref = symbols.get(value) or _STATIC_REFS.get(value)
+            if ref is None:
+                self._write_new_str(buf, value)
+            else:
+                buf += ref
+        elif kind is dict:
             buf.append(_T_MAP)
-            _write_varint(buf, len(value))
+            count = len(value)
+            if count < 0x80:
+                buf.append(count)
+            else:
+                _write_varint(buf, count)
             for key, item in value.items():
-                self._write_str(buf, _map_key(key))
-                self._write_value(buf, item)
-        elif isinstance(value, (list, tuple)):
+                # A hit can only be a str key: the tables hold nothing else.
+                ref = _STATIC_REFS.get(key) or symbols.get(key)
+                if ref is None:
+                    self._write_value(buf, _map_key(key))
+                else:
+                    buf += ref
+                kind = type(item)
+                if kind is str:
+                    ref = symbols.get(item) or _STATIC_REFS.get(item)
+                    if ref is None:
+                        self._write_new_str(buf, item)
+                    else:
+                        buf += ref
+                elif kind is int:
+                    _write_int(buf, item)
+                elif kind is bool:
+                    buf.append(_T_TRUE if item else _T_FALSE)
+                elif item is None:
+                    buf.append(_T_NONE)
+                else:
+                    self._write_value(buf, item)
+        elif kind is list or kind is tuple:
             buf.append(_T_LIST)
-            _write_varint(buf, len(value))
+            count = len(value)
+            if count < 0x80:
+                buf.append(count)
+            else:
+                _write_varint(buf, count)
             for item in value:
-                self._write_value(buf, item)
-        elif isinstance(value, (bytes, bytearray)):
+                kind = type(item)
+                if kind is str:
+                    ref = symbols.get(item) or _STATIC_REFS.get(item)
+                    if ref is None:
+                        self._write_new_str(buf, item)
+                    else:
+                        buf += ref
+                elif kind is int:
+                    _write_int(buf, item)
+                else:
+                    self._write_value(buf, item)
+        elif kind is int:
+            _write_int(buf, value)
+        elif kind is bool:
+            buf.append(_T_TRUE if value else _T_FALSE)
+        elif value is None:
+            buf.append(_T_NONE)
+        elif kind is float:
+            buf += _TAGGED_FLOAT.pack(_T_FLOAT, value)
+        elif kind is bytes or kind is bytearray:
             buf.append(_T_BYTES)
             _write_varint(buf, len(value))
             buf += value
         else:
-            raise TypeError(
-                f"object of type {type(value).__name__} is not codec-serializable"
-            )
+            self._write_value(buf, _builtin(value))
 
     # -- envelope / batch frames --------------------------------------------
 
-    def _write_envelope(
-        self, buf: bytearray, envelope: dict, objs: List[Any]
+    def _write_fields(
+        self, buf: bytearray, fields, envelope: dict, objs: List[Any]
     ) -> int:
-        """Encode one envelope map; returns bytes carried out of band.
+        """Encode an envelope's ``(key, value)`` pairs; returns bytes
+        carried out of band.
 
         The ``payload`` field is inline-encoded only when it is structured
         data (dict/list); any other object is a native-payload stand-in
@@ -305,10 +421,13 @@ class WireEncoder:
         as an ``OBJ`` placeholder charged at that size.
         """
         oob = 0
-        buf.append(_T_MAP)
-        _write_varint(buf, len(envelope))
-        for key, item in envelope.items():
-            self._write_str(buf, _map_key(key))
+        symbols = self._symbols
+        for key, item in fields:
+            ref = _STATIC_REFS.get(key) or symbols.get(key)
+            if ref is None:
+                self._write_value(buf, _map_key(key))
+            else:
+                buf += ref
             if key == "payload" and not isinstance(item, (dict, list, tuple)):
                 declared = envelope.get("size")
                 declared = declared if isinstance(declared, int) and declared >= 0 else 0
@@ -320,42 +439,13 @@ class WireEncoder:
                 self._write_value(buf, item)
         return oob
 
-    def _seal(self, buf: bytearray, objs: List[Any], oob: int) -> BinaryFrame:
-        buf += struct.pack(">I", zlib.crc32(bytes(buf[2:])) & 0xFFFFFFFF)
-        return BinaryFrame(bytes(buf), tuple(objs), oob)
-
-    def encode_envelope(self, envelope: dict) -> BinaryFrame:
-        """One single-envelope wire frame.
-
-        Raises :class:`TypeError` when a non-payload field is not
-        representable (the caller falls back to the JSON wire path); the
-        dynamic table is rolled back so a failed attempt does not desync
-        the peer's decoder.
-        """
-        snapshot = dict(self._symbols)
-        buf = bytearray((WIRE_MAGIC, FRAME_ENVELOPE))
-        objs: List[Any] = []
-        try:
-            oob = self._write_envelope(buf, envelope, objs)
-        except TypeError:
-            self._symbols = snapshot
-            raise
-        return self._seal(buf, objs, oob)
-
-    def encode_batch(self, envelopes: List[dict]) -> BinaryFrame:
-        """One coalesced batch frame carrying ``envelopes`` in order."""
-        snapshot = dict(self._symbols)
-        buf = bytearray((WIRE_MAGIC, FRAME_BATCH))
-        _write_varint(buf, len(envelopes))
-        objs: List[Any] = []
-        oob = 0
-        try:
-            for envelope in envelopes:
-                oob += self._write_envelope(buf, envelope, objs)
-        except TypeError:
-            self._symbols = snapshot
-            raise
-        return self._seal(buf, objs, oob)
+    def _write_envelope(
+        self, buf: bytearray, envelope: dict, objs: List[Any]
+    ) -> int:
+        """Encode one envelope map; returns bytes carried out of band."""
+        buf.append(_T_MAP)
+        _write_varint(buf, len(envelope))
+        return self._write_fields(buf, envelope.items(), envelope, objs)
 
     def _write_envelope_delta(
         self, buf: bytearray, envelope: dict, prev: dict, objs: List[Any]
@@ -368,7 +458,6 @@ class WireEncoder:
         and is never delta-suppressed -- payload identity across envelopes
         is not a wire-protocol assumption we want to make.
         """
-        oob = 0
         missing = object()
         changed = [
             (key, item)
@@ -377,21 +466,50 @@ class WireEncoder:
         ]
         removed = [key for key in prev if key not in envelope]
         _write_varint(buf, len(changed))
-        for key, item in changed:
-            self._write_str(buf, _map_key(key))
-            if key == "payload" and not isinstance(item, (dict, list, tuple)):
-                declared = envelope.get("size")
-                declared = declared if isinstance(declared, int) and declared >= 0 else 0
-                buf.append(_T_OBJ)
-                _write_varint(buf, declared)
-                objs.append(item)
-                oob += declared
-            else:
-                self._write_value(buf, item)
+        oob = self._write_fields(buf, changed, envelope, objs)
         _write_varint(buf, len(removed))
         for key in removed:
-            self._write_str(buf, _map_key(key))
+            self._write_value(buf, _map_key(key))
         return oob
+
+    def _encode_frame(self, kind: int, envelopes: List[dict]) -> BinaryFrame:
+        """One envelope, batch or delta-batch frame.  Any exception rolls
+        the dynamic table back to its state before the frame, so a failed
+        attempt never leaves a symbol the peer's decoder was not taught."""
+        mark = len(self._symbols)
+        buf = bytearray()
+        objs: List[Any] = []
+        oob = 0
+        try:
+            if kind == FRAME_ENVELOPE:
+                oob = self._write_envelope(buf, envelopes[0], objs)
+            else:
+                _write_varint(buf, len(envelopes))
+                prev: Optional[dict] = None
+                for envelope in envelopes:
+                    if prev is None or kind == FRAME_BATCH:
+                        oob += self._write_envelope(buf, envelope, objs)
+                    else:
+                        oob += self._write_envelope_delta(buf, envelope, prev, objs)
+                    prev = envelope
+        except BaseException:
+            self._rollback(mark)
+            raise
+        return BinaryFrame(_frame(kind, buf), tuple(objs), oob)
+
+    def encode_envelope(self, envelope: dict) -> BinaryFrame:
+        """One single-envelope wire frame.
+
+        Raises :class:`TypeError` when a non-payload field is not
+        representable (the caller falls back to the JSON wire path); the
+        dynamic table is rolled back so a failed attempt does not desync
+        the peer's decoder.
+        """
+        return self._encode_frame(FRAME_ENVELOPE, [envelope])
+
+    def encode_batch(self, envelopes: List[dict]) -> BinaryFrame:
+        """One coalesced batch frame carrying ``envelopes`` in order."""
+        return self._encode_frame(FRAME_BATCH, envelopes)
 
     def encode_batch_delta(self, envelopes: List[dict]) -> BinaryFrame:
         """One batch frame with envelopes 2..n delta-encoded.
@@ -403,64 +521,226 @@ class WireEncoder:
         the dynamic table rolled back when any field is not
         representable, exactly like :meth:`encode_batch`.
         """
-        snapshot = dict(self._symbols)
-        buf = bytearray((WIRE_MAGIC, FRAME_BATCH_DELTA))
-        _write_varint(buf, len(envelopes))
-        objs: List[Any] = []
-        oob = 0
-        prev: Optional[dict] = None
+        return self._encode_frame(FRAME_BATCH_DELTA, envelopes)
+
+
+# -- decoding -----------------------------------------------------------------
+#
+# A decoder walks one ``bytes`` body with a plain integer position: every
+# reader below takes ``(data, pos)`` and returns ``(value, new pos)``.
+# Indexing past the end raises IndexError, which the entry points turn
+# into ``CodecError("truncated frame")``; reads of a known length (strings,
+# bytes, floats) check it explicitly, because slicing never raises.
+
+
+def _read_varint(data: bytes, pos: int, first: int) -> Tuple[int, int]:
+    """Finish a varint whose first byte ``first`` (continuation bit set)
+    was read just before ``pos``."""
+    result = first & 0x7F
+    shift = 7
+    while True:
+        part = data[pos]
+        pos += 1
+        result |= (part & 0x7F) << shift
+        if part < 0x80:
+            return result, pos
+        shift += 7
+        if shift > 63:
+            raise CodecError("varint overflow")
+
+
+def _take(data: bytes, pos: int) -> Tuple[bytes, int]:
+    """A varint length followed by that many bytes."""
+    length = data[pos]
+    pos += 1
+    if length > 0x7F:
+        length, pos = _read_varint(data, pos, length)
+    end = pos + length
+    if end > len(data):
+        raise CodecError("truncated frame")
+    return data[pos:end], end
+
+
+def _read_text(
+    data: bytes, pos: int, tag: int, symbols: Dict[int, str]
+) -> Tuple[str, int]:
+    """A string-form value (``SYM``, ``SYMDEF`` or ``STR``) whose tag was
+    read just before ``pos``."""
+    if tag == _T_STR:
+        raw, pos = _take(data, pos)
+        return raw.decode("utf-8"), pos
+    if tag != _T_SYM and tag != _T_SYMDEF:
+        raise CodecError(f"expected a string, got tag {tag:#x}")
+    sym, pos = _read_varint_at(data, pos)
+    if tag == _T_SYM:
+        return (STATIC_SYMBOLS[sym] if sym < _DYNAMIC_BASE else symbols[sym]), pos
+    if sym < _DYNAMIC_BASE:
+        raise CodecError(f"symbol definition in static range: {sym}")
+    raw, pos = _take(data, pos)
+    text = symbols[sym] = raw.decode("utf-8")
+    return text, pos
+
+
+def _read_value(
+    data: bytes, pos: int, symbols: Dict[int, str], objs: Optional[Iterator[Any]]
+) -> Tuple[Any, int]:
+    tag = data[pos]
+    pos += 1
+    if tag == _T_MAP:
+        count = data[pos]
+        pos += 1
+        if count > 0x7F:
+            count, pos = _read_varint(data, pos, count)
+        result = {}
+        for _ in range(count):
+            tag = data[pos]
+            sym = data[pos + 1]
+            if tag == _T_SYM and sym < _STATIC_ONE_BYTE:
+                key = STATIC_SYMBOLS[sym]
+                pos += 2
+            else:
+                key, pos = _read_text(data, pos + 1, tag, symbols)
+            tag = data[pos]
+            if tag == _T_SYM:
+                sym = data[pos + 1]
+                pos += 2
+                if sym > 0x7F:
+                    sym, pos = _read_varint(data, pos, sym)
+                result[key] = STATIC_SYMBOLS[sym] if sym < _DYNAMIC_BASE else symbols[sym]
+            elif tag == _T_INT and data[pos + 1] < 0x80:
+                raw = data[pos + 1]
+                result[key] = -((raw + 1) >> 1) if raw & 1 else raw >> 1
+                pos += 2
+            elif tag <= _T_FALSE:
+                result[key] = _CONSTANTS[tag]
+                pos += 1
+            elif tag == _T_SYMDEF or tag == _T_STR:
+                result[key], pos = _read_text(data, pos + 1, tag, symbols)
+            else:
+                result[key], pos = _read_value(data, pos, symbols, objs)
+        return result, pos
+    if tag == _T_LIST:
+        count = data[pos]
+        pos += 1
+        if count > 0x7F:
+            count, pos = _read_varint(data, pos, count)
+        items = []
+        for _ in range(count):
+            tag = data[pos]
+            if tag == _T_SYM:
+                sym = data[pos + 1]
+                pos += 2
+                if sym > 0x7F:
+                    sym, pos = _read_varint(data, pos, sym)
+                items.append(STATIC_SYMBOLS[sym] if sym < _DYNAMIC_BASE else symbols[sym])
+            elif tag == _T_INT and data[pos + 1] < 0x80:
+                raw = data[pos + 1]
+                items.append(-((raw + 1) >> 1) if raw & 1 else raw >> 1)
+                pos += 2
+            else:
+                item, pos = _read_value(data, pos, symbols, objs)
+                items.append(item)
+        return items, pos
+    if tag == _T_SYM or tag == _T_SYMDEF or tag == _T_STR:
+        return _read_text(data, pos, tag, symbols)
+    if tag == _T_INT:
+        raw, pos = _read_varint_at(data, pos)
+        return (-((raw + 1) >> 1) if raw & 1 else raw >> 1), pos
+    if tag <= _T_FALSE:
+        return _CONSTANTS[tag], pos
+    if tag == _T_FLOAT:
+        if pos + 8 > len(data):
+            raise CodecError("truncated frame")
+        return _FLOAT.unpack_from(data, pos)[0], pos + 8
+    if tag == _T_BYTES:
+        return _take(data, pos)
+    if tag == _T_OBJ:
+        # The declared out-of-band size (already modeled) is skipped.
+        _size, pos = _read_varint_at(data, pos)
+        if objs is None:
+            raise CodecError("out-of-band placeholder in a pure-value frame")
         try:
-            for envelope in envelopes:
-                if prev is None:
-                    oob += self._write_envelope(buf, envelope, objs)
-                else:
-                    oob += self._write_envelope_delta(buf, envelope, prev, objs)
-                prev = envelope
-        except TypeError:
-            self._symbols = snapshot
-            raise
-        return self._seal(buf, objs, oob)
+            return next(objs), pos
+        except StopIteration:
+            raise CodecError("frame is missing an out-of-band payload") from None
+    raise CodecError(f"unknown tag {tag:#x}")
 
 
-class _Reader:
-    """Bounds-checked cursor over a frame body; every overrun raises."""
+def _read_varint_at(data: bytes, pos: int) -> Tuple[int, int]:
+    """The varint starting at ``pos``."""
+    first = data[pos]
+    if first > 0x7F:
+        return _read_varint(data, pos + 1, first)
+    return first, pos + 1
 
-    __slots__ = ("data", "pos", "end")
 
-    def __init__(self, data: bytes, start: int, end: int):
-        self.data = data
-        self.pos = start
-        self.end = end
+def _read_batch(
+    data: bytes, kind: int, symbols: Dict[int, str], objs: Iterator[Any]
+) -> Tuple[List[Any], int]:
+    """A batch body: varint count, then the envelopes.  In a delta batch
+    every envelope after the first is a field delta against its
+    predecessor: varint changed-count, (key, value) pairs, varint
+    removed-count, removed keys."""
+    count, pos = _read_varint_at(data, 0)
+    if count > len(data) - pos:
+        raise CodecError(f"implausible batch count {count}")
+    envelopes: List[Any] = []
+    prev: Optional[dict] = None
+    for _ in range(count):
+        if prev is None or kind == FRAME_BATCH:
+            env, pos = _read_value(data, pos, symbols, objs)
+            if kind == FRAME_BATCH_DELTA and not isinstance(env, dict):
+                raise CodecError("delta batch base is not an envelope map")
+        else:
+            env = dict(prev)
+            changed, pos = _read_varint_at(data, pos)
+            for _ in range(changed):
+                key, pos = _read_text(data, pos + 1, data[pos], symbols)
+                env[key], pos = _read_value(data, pos, symbols, objs)
+            removed, pos = _read_varint_at(data, pos)
+            for _ in range(removed):
+                key, pos = _read_text(data, pos + 1, data[pos], symbols)
+                env.pop(key, None)
+        envelopes.append(env)
+        prev = env
+    return envelopes, pos
 
-    def byte(self) -> int:
-        if self.pos >= self.end:
-            raise CodecError("truncated frame")
-        value = self.data[self.pos]
-        self.pos += 1
-        return value
 
-    def varint(self) -> int:
-        shift = 0
-        result = 0
-        while True:
-            part = self.byte()
-            result |= (part & 0x7F) << shift
-            if not part & 0x80:
-                return result
-            shift += 7
-            if shift > 63:
-                raise CodecError("varint overflow")
+def _checked(read, *args):
+    """Call a body reader, turning a read past the end of the body, a
+    reference to a symbol never defined, or malformed UTF-8 into
+    :class:`CodecError`."""
+    try:
+        return read(*args)
+    except IndexError:
+        raise CodecError("truncated frame") from None
+    except KeyError as exc:
+        raise CodecError(f"undefined symbol {exc.args[0]}") from None
+    except UnicodeDecodeError as exc:
+        raise CodecError(f"malformed string: {exc}") from exc
 
-    def take(self, count: int) -> bytes:
-        if count < 0 or self.pos + count > self.end:
-            raise CodecError("truncated frame")
-        chunk = self.data[self.pos : self.pos + count]
-        self.pos += count
-        return chunk
 
-    @property
-    def exhausted(self) -> bool:
-        return self.pos >= self.end
+def _open(frame: BinaryFrame) -> Tuple[int, bytes]:
+    """Check a wire frame's magic and CRC; returns ``(kind, body)``."""
+    data = frame.data
+    if len(data) < 6 or data[0] != WIRE_MAGIC:
+        raise CodecError("not a binary wire frame")
+    body = data[2:-4]
+    if zlib.crc32(body) != _CRC.unpack_from(data, len(data) - 4)[0]:
+        raise CodecError("frame checksum mismatch")
+    return data[1], body
+
+
+def _read_map(
+    data: bytes, symbols: Dict[int, str], objs: Optional[Iterator[Any]], what: str
+) -> dict:
+    """Decode ``data`` as exactly one map value."""
+    value, pos = _checked(_read_value, data, 0, symbols, objs)
+    if pos != len(data):
+        raise CodecError(f"trailing bytes after {what}")
+    if type(value) is not dict:
+        raise CodecError(f"{what} is not a map")
+    return value
 
 
 class WireDecoder:
@@ -469,87 +749,8 @@ class WireDecoder:
     __slots__ = ("_symbols",)
 
     def __init__(self):
+        #: Dynamic symbols defined on this stream: id -> text.
         self._symbols: Dict[int, str] = {}
-
-    # -- value decoding ------------------------------------------------------
-
-    def _read_symbol(self, reader: _Reader, tag: int) -> str:
-        if tag == _T_SYM:
-            sym = reader.varint()
-            if sym < _DYNAMIC_BASE:
-                if sym < len(STATIC_SYMBOLS):
-                    return STATIC_SYMBOLS[sym]
-                raise CodecError(f"unknown static symbol {sym}")
-            text = self._symbols.get(sym)
-            if text is None:
-                raise CodecError(f"undefined symbol {sym}")
-            return text
-        if tag == _T_SYMDEF:
-            sym = reader.varint()
-            if sym < _DYNAMIC_BASE:
-                raise CodecError(f"symbol definition in static range: {sym}")
-            try:
-                text = reader.take(reader.varint()).decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise CodecError(f"malformed symbol definition: {exc}") from exc
-            self._symbols[sym] = text
-            return text
-        if tag == _T_STR:
-            try:
-                return reader.take(reader.varint()).decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise CodecError(f"malformed string: {exc}") from exc
-        raise CodecError(f"expected a string, got tag {tag:#x}")
-
-    def _read_value(self, reader: _Reader, objs: Optional[Iterator[Any]]) -> Any:
-        tag = reader.byte()
-        if tag == _T_NONE:
-            return None
-        if tag == _T_TRUE:
-            return True
-        if tag == _T_FALSE:
-            return False
-        if tag == _T_INT:
-            raw = reader.varint()
-            return raw >> 1 if not raw & 1 else -((raw + 1) >> 1)
-        if tag == _T_FLOAT:
-            return _FLOAT.unpack(reader.take(8))[0]
-        if tag in (_T_STR, _T_SYM, _T_SYMDEF):
-            return self._read_symbol(reader, tag)
-        if tag == _T_BYTES:
-            return reader.take(reader.varint())
-        if tag == _T_LIST:
-            return [self._read_value(reader, objs) for _ in range(reader.varint())]
-        if tag == _T_MAP:
-            result = {}
-            for _ in range(reader.varint()):
-                key = self._read_symbol(reader, reader.byte())
-                result[key] = self._read_value(reader, objs)
-            return result
-        if tag == _T_OBJ:
-            reader.varint()  # declared out-of-band size (already modeled)
-            if objs is None:
-                raise CodecError("out-of-band placeholder in a pure-value frame")
-            try:
-                return next(objs)
-            except StopIteration:
-                raise CodecError("frame is missing an out-of-band payload") from None
-        raise CodecError(f"unknown tag {tag:#x}")
-
-    # -- frames --------------------------------------------------------------
-
-    def _open(self, frame: BinaryFrame, expect_kind: Optional[int] = None):
-        data = frame.data
-        if len(data) < 6 or data[0] != WIRE_MAGIC:
-            raise CodecError("not a binary wire frame")
-        body_end = len(data) - 4
-        (crc,) = struct.unpack_from(">I", data, body_end)
-        if zlib.crc32(data[2:body_end]) & 0xFFFFFFFF != crc:
-            raise CodecError("frame checksum mismatch")
-        kind = data[1]
-        if expect_kind is not None and kind != expect_kind:
-            raise CodecError(f"unexpected frame kind {kind:#x}")
-        return kind, _Reader(data, 2, body_end)
 
     def decode_frame(self, frame: BinaryFrame) -> dict:
         """Decode an envelope or batch frame into its wire dict form.
@@ -558,44 +759,16 @@ class WireDecoder:
         dict, so everything downstream of the receive loop (dedup,
         dispatch, cost accounting) is codec-agnostic.
         """
-        kind, reader = self._open(frame)
+        kind, body = _open(frame)
         objs = iter(frame.objs)
         if kind == FRAME_ENVELOPE:
-            envelope = self._read_value(reader, objs)
-        elif kind == FRAME_BATCH:
-            count = reader.varint()
-            if count > reader.end - reader.pos:
-                raise CodecError(f"implausible batch count {count}")
-            envelopes = [self._read_value(reader, objs) for _ in range(count)]
-            envelope = {"kind": "batch", "count": count, "envelopes": envelopes}
-        elif kind == FRAME_BATCH_DELTA:
-            count = reader.varint()
-            if count > reader.end - reader.pos:
-                raise CodecError(f"implausible batch count {count}")
-            envelopes = []
-            prev: Optional[dict] = None
-            for _ in range(count):
-                if prev is None:
-                    env = self._read_value(reader, objs)
-                    if not isinstance(env, dict):
-                        raise CodecError("delta batch base is not an envelope map")
-                else:
-                    env = dict(prev)
-                    for _ in range(reader.varint()):
-                        key = self._read_symbol(reader, reader.byte())
-                        env[key] = self._read_value(reader, objs)
-                    for _ in range(reader.varint()):
-                        env.pop(self._read_symbol(reader, reader.byte()), None)
-                envelopes.append(env)
-                prev = env
-            envelope = {"kind": "batch", "count": count, "envelopes": envelopes}
-        else:
+            return _read_map(body, self._symbols, objs, "frame body")
+        if kind != FRAME_BATCH and kind != FRAME_BATCH_DELTA:
             raise CodecError(f"unexpected frame kind {kind:#x}")
-        if not reader.exhausted:
+        envelopes, pos = _checked(_read_batch, body, kind, self._symbols, objs)
+        if pos != len(body):
             raise CodecError("trailing bytes after frame body")
-        if not isinstance(envelope, dict):
-            raise CodecError("frame body is not an envelope map")
-        return envelope
+        return {"kind": "batch", "count": len(envelopes), "envelopes": envelopes}
 
 
 # -- self-contained frames (gossip datagrams) ---------------------------------
@@ -618,21 +791,15 @@ def encode_gossip(payload: dict, compress: bool = False) -> BinaryFrame:
     actually shrink the body (tiny payloads), keeping the compressed path
     never worse than the plain one.
     """
-    encoder = WireEncoder()
     body = bytearray()
-    encoder._write_value(body, payload)
+    WireEncoder()._write_value(body, payload)
     if compress:
-        raw = bytes(body)
-        packed = zlib.compress(raw, _Z_LEVEL)
+        packed = zlib.compress(body, _Z_LEVEL)
         header = bytearray()
-        _write_varint(header, len(raw))
-        if len(packed) + len(header) < len(raw):
-            buf = bytearray((WIRE_MAGIC, FRAME_GOSSIP_Z)) + header + packed
-            buf += struct.pack(">I", zlib.crc32(bytes(buf[2:])) & 0xFFFFFFFF)
-            return BinaryFrame(bytes(buf))
-    buf = bytearray((WIRE_MAGIC, FRAME_GOSSIP)) + body
-    buf += struct.pack(">I", zlib.crc32(bytes(buf[2:])) & 0xFFFFFFFF)
-    return BinaryFrame(bytes(buf))
+        _write_varint(header, len(body))
+        if len(packed) + len(header) < len(body):
+            return BinaryFrame(_frame(FRAME_GOSSIP_Z, header + packed))
+    return BinaryFrame(_frame(FRAME_GOSSIP, body))
 
 
 def _inflate(packed: bytes, raw_len: int) -> bytes:
@@ -651,20 +818,13 @@ def _inflate(packed: bytes, raw_len: int) -> bytes:
 
 def decode_gossip(frame: BinaryFrame) -> dict:
     """Decode a self-contained gossip body (plain or compressed)."""
-    decoder = WireDecoder()
-    kind, reader = decoder._open(frame)
+    kind, body = _open(frame)
     if kind == FRAME_GOSSIP_Z:
-        raw_len = reader.varint()
-        raw = _inflate(reader.take(reader.end - reader.pos), raw_len)
-        reader = _Reader(raw, 0, len(raw))
+        raw_len, pos = _checked(_read_varint_at, body, 0)
+        body = _inflate(body[pos:], raw_len)
     elif kind != FRAME_GOSSIP:
         raise CodecError(f"unexpected frame kind {kind:#x}")
-    payload = decoder._read_value(reader, None)
-    if not reader.exhausted:
-        raise CodecError("trailing bytes after gossip body")
-    if not isinstance(payload, dict):
-        raise CodecError("gossip body is not a map")
-    return payload
+    return _read_map(body, {}, None, "gossip body")
 
 
 def encoded_size(value: Any) -> int:
@@ -674,15 +834,13 @@ def encoded_size(value: Any) -> int:
     (``Profile.estimated_size`` and friends) when the binary codec is the
     active wire format.
     """
-    encoder = WireEncoder()
     buf = bytearray()
-    encoder._write_value(buf, value)
+    WireEncoder()._write_value(buf, value)
     return len(buf)
 
 
 # -- journal record bodies ----------------------------------------------------
 
-_ESC = 0x1B
 _ESC_BYTE = b"\x1b"
 _NL_SUB = b"\x1bn"
 _ESC_SUB = b"\x1b\x1b"
@@ -707,10 +865,8 @@ def encode_journal_body(record: dict, compress: bool = False) -> bytes:
     checkpoints stay plain and the choice is deterministic for a given
     record.
     """
-    encoder = WireEncoder()
-    buf = bytearray()
-    encoder._write_value(buf, record)
-    raw = bytes(buf)
+    raw = bytearray()
+    WireEncoder()._write_value(raw, record)
     magic = JOURNAL_MAGIC
     if compress:
         packed = zlib.compress(raw, _Z_LEVEL)
@@ -729,37 +885,17 @@ def decode_journal_body(body: bytes) -> dict:
     """Decode a binary journal record body back into its record dict."""
     if not is_binary_journal_body(body):
         raise CodecError("not a binary journal body")
-    unescaped = bytearray()
-    data = body[1:]
-    i = 0
-    length = len(data)
-    while i < length:
-        byte = data[i]
-        if byte == _ESC:
-            i += 1
-            if i >= length:
-                raise CodecError("truncated escape sequence")
-            nxt = data[i]
-            if nxt == _ESC:
-                unescaped.append(_ESC)
-            elif nxt == 0x6E:  # 'n'
-                unescaped.append(0x0A)
-            else:
-                raise CodecError(f"bad escape sequence {nxt:#x}")
-        else:
-            unescaped.append(byte)
-        i += 1
-    raw = bytes(unescaped)
+    # Unescape with bytes operations: split at the escaped ESCs, turn
+    # ESC-n back into newlines within each piece, and reject any ESC
+    # still left (a truncated or bad escape) before rejoining.
+    pieces = [piece.replace(_NL_SUB, b"\n") for piece in body[1:].split(_ESC_SUB)]
+    for piece in pieces:
+        if _ESC_BYTE in piece:
+            raise CodecError("truncated or bad escape sequence")
+    raw = _ESC_BYTE.join(pieces)
     if body[0] == JOURNAL_MAGIC_Z:
         try:
             raw = zlib.decompress(raw)
         except zlib.error as exc:
             raise CodecError(f"corrupt compressed journal body: {exc}") from exc
-    decoder = WireDecoder()
-    reader = _Reader(raw, 0, len(raw))
-    record = decoder._read_value(reader, None)
-    if not reader.exhausted:
-        raise CodecError("trailing bytes after journal body")
-    if not isinstance(record, dict):
-        raise CodecError("journal body is not a record map")
-    return record
+    return _read_map(raw, {}, None, "journal body")

@@ -144,12 +144,19 @@ def encode_record(
     and mixed blobs replay fine -- each body declares its own format in
     its first byte.  ``compress=True`` (binary only) additionally
     zlib-deflates the body (magic ``0xB3``) when that shrinks it -- used
-    for checkpoint records, which serialize the whole mirror.
+    for checkpoint records, which serialize the whole mirror.  A record
+    the codec cannot represent (an int beyond its varint range) keeps the
+    canonical-JSON body instead; only data JSON cannot carry either raises
+    :class:`TypeError`.
     """
     record = {"data": data, "kind": kind, "lsn": lsn}
+    body = None
     if binary:
-        body = encode_journal_body(record, compress=compress)
-    else:
+        try:
+            body = encode_journal_body(record, compress=compress)
+        except TypeError:
+            pass
+    if body is None:
         body = json.dumps(
             record, sort_keys=True, separators=(",", ":")
         ).encode("utf-8")

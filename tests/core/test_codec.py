@@ -180,14 +180,41 @@ class TestRoundTrip:
         warm = len(encoder.encode_envelope(envelope).data)
         assert warm < cold  # dynamic symbols defined once, referenced after
 
-    def test_unencodable_value_raises_typeerror_and_rolls_back(self):
+    @pytest.mark.parametrize(
+        "method",
+        ["encode_envelope", "encode_batch", "encode_batch_delta"],
+        ids=["env", "batch", "delta"],
+    )
+    def test_unencodable_value_raises_typeerror_and_rolls_back(self, method):
         encoder, decoder = WireEncoder(), WireDecoder()
+
+        def encode(envelopes):
+            frame_of = getattr(encoder, method)
+            return frame_of(envelopes[-1] if method == "encode_envelope" else envelopes)
+
+        warm = [{"kind": "message", "payload": [{"warm": 1}], "seq": 1}]
+        assert decoder.decode_frame(encode(warm))
+        before = len(encoder._symbols)
+        # The failed frame defines fresh symbols before it hits the bad
+        # value: in an earlier envelope of the batch and in its own fields.
+        bad = [
+            {"kind": "message", "payload": [{"fresh": "new-a"}], "seq": 2},
+            {"kind": "message", "payload": [{"fresh-b": "new-c", "x": object()}]},
+        ]
         with pytest.raises(TypeError):
-            encoder.encode_envelope({"kind": "message", "payload": [{"x": object()}]})
+            encode(bad)
+        assert len(encoder._symbols) == before
         # The failed encode must not have taught the encoder symbols the
-        # decoder never saw: a following good envelope still decodes.
-        good = {"kind": "message", "payload": [{"x": 1}], "seq": 2}
-        assert decoder.decode_frame(encoder.encode_envelope(good)) == good
+        # decoder never saw: the next good frame still decodes.
+        good = [
+            {"kind": "message", "payload": [{"fresh": "new-a"}], "seq": 2},
+            {"kind": "message", "payload": [{"fresh-b": "new-c", "x": 1}], "seq": 3},
+        ]
+        decoded = decoder.decode_frame(encode(good))
+        if method == "encode_envelope":
+            assert decoded == good[-1]
+        else:
+            assert decoded["envelopes"] == good
 
 
 # -- corruption: raise cleanly, never mis-decode ---------------------------
@@ -484,6 +511,88 @@ class TestSizeAccounting:
         profile = self.registered_profile("cam2")
         assert profile.encoded_size() == encoded_size(profile.to_dict())
         assert profile.encoded_size() < json_size(profile.to_dict())
+
+
+class TestIntRange:
+    """The decoder stops a varint at 10 bytes, so the codec carries ints
+    in ``-2**69 .. 2**69 - 1``.  The encoder refuses anything wider with
+    :class:`TypeError` -- the trigger of every JSON fallback -- instead of
+    emitting a varint no decoder can read back."""
+
+    @pytest.mark.parametrize("value", [-(2**69), 2**69 - 1], ids=["-2**69", "2**69-1"])
+    def test_boundary_ints_round_trip_on_every_surface(self, value):
+        envelope = {"kind": "message", "payload": {"v": value}, "seq": value}
+        frame = WireEncoder().encode_envelope(envelope)
+        assert WireDecoder().decode_frame(frame) == envelope
+        batch = WireDecoder().decode_frame(WireEncoder().encode_batch_delta([envelope] * 2))
+        assert batch["envelopes"] == [envelope] * 2
+        body = {"kind": "umiddle-directory", "version": value}
+        assert decode_gossip(encode_gossip(body)) == body
+        record = {"data": {"v": [value]}, "kind": "register", "lsn": 1}
+        assert decode_journal_body(encode_journal_body(record)) == record
+
+    @pytest.mark.parametrize(
+        "value", [2**69, -(2**69) - 1, 10**400], ids=["2**69", "-2**69-1", "10**400"]
+    )
+    def test_wider_ints_raise_typeerror_on_every_surface(self, value):
+        envelope = {"kind": "message", "payload": {"v": value}, "seq": 1}
+        encoder = WireEncoder()
+        for encode in (
+            encoder.encode_envelope,
+            lambda env: encoder.encode_batch([env]),
+            lambda env: encoder.encode_batch_delta([env, env]),
+            lambda env: encode_gossip({"kind": "umiddle-directory", "body": env}),
+            lambda env: encode_journal_body({"data": env, "kind": "register", "lsn": 1}),
+            encoded_size,
+        ):
+            with pytest.raises(TypeError):
+                encode(envelope)
+
+    def test_journal_record_with_wide_int_keeps_a_json_body(self):
+        data = {"id": "t1", "serial": 2**70}
+        blob = encode_record(1, "register", {"id": "t0"}, binary=True)
+        blob += encode_record(2, "register", data, binary=True)
+        blob += encode_record(3, "checkpoint", {"registered": {"t1": data}},
+                              binary=True, compress=True)
+        records, _clean, discarded = replay_blob(blob)
+        assert discarded == 0
+        assert [r["data"] for r in records[1:]] == [data, {"registered": {"t1": data}}]
+
+    def test_profile_with_wide_int_attribute_charges_estimated_size(self):
+        bed = build_testbed(hosts=["h0"])
+        runtime = bed.add_runtime("h0", codec_enabled=True)
+        translator = Translator("meter", role="sensor", attributes={"serial": 2**70})
+        translator.add_digital_output("reading", "text/plain")
+        runtime.register_translator(translator)
+        profile = translator.profile
+        assert profile.encoded_size() == profile.estimated_size()
+
+    def test_wide_int_payload_is_delivered_and_journaled(self):
+        # Regression: the codec used to encode 2**70 into a varint its own
+        # decoder rejects.  The sink dropped the batch frame holding it (and
+        # everything after it), and journal replay stopped at the binary
+        # spool record, discarding the rest of the blob.
+        bed, producer, out, sinks = build_fanout(
+            [True], codec_enabled=True, batching_enabled=True
+        )
+        payloads = [{"v": index} for index in range(5)]
+        payloads[2] = {"v": 2**70}
+        for payload in payloads:
+            out.send(UMessage("text/plain", payload))
+        bed.settle(30.0)
+        _runtime, received = sinks[0]
+        assert [m.payload for m in received] == payloads
+        assert producer.transport.codec_fallbacks > 0
+        records, _clean, discarded = replay_blob(producer.journal.blob)
+        assert discarded == 0
+        spooled = [
+            envelope["payload"]
+            for record in records
+            if record["kind"] == "spool-batch"
+            for envelope, _size in record["data"]["entries"]
+            if envelope["kind"] == "message"
+        ]
+        assert spooled == payloads
 
 
 # -- mixed-version federation ----------------------------------------------
