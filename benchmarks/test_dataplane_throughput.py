@@ -1,5 +1,5 @@
-"""Data-plane throughput: batched + pipelined peer senders versus the
-one-envelope-per-frame baseline.
+"""Data-plane throughput: the batched, pipelined, binary data plane versus
+the paper's one-envelope-per-frame JSON baseline.
 
 Writes ``BENCH_dataplane.json`` at the repository root.  A single source
 fans one 1k-message burst out to 1, 8 and 64 peer runtimes over a fast
@@ -8,7 +8,7 @@ processing, per-envelope marshal, per-frame round trips -- dominate
 instead of the paper's 10 Mbps wire.  Batching amortizes exactly those
 costs, so the measured simulated-time speedup is the tentpole claim:
 
-- >= 3x messages/s at 64-peer fanout with batching on vs off,
+- >= 3x messages/s at 64-peer fanout with the data plane on vs off,
 - <= 1.05x per-message cost at single-peer scale (no regression), and
 - with the WAL on (group commit), batched throughput still beats
   unbatched while appending strictly fewer journal records.
@@ -18,13 +18,13 @@ batch framing also shrinks the per-envelope header overhead.
 
 The codec matrix (PR 7) re-runs the 64-peer fanout with *structured*
 payloads -- dicts whose wire cost is their canonical-JSON length, the
-honest model for telemetry-style traffic -- across three legs: JSON
-stop-and-wait (the pre-PR 5 baseline), JSON batched (PR 5), and the
-binary codec with load-adaptive batching.  Asserted: codec wire bytes
-<= 0.25x the stop-and-wait baseline and >= 1.5x messages/s over JSON
-batched.  A 1-peer low-load run measures per-message delivery latency
-(p50/p99, simulated clock) with the codec off and on -- the codec must
-not tax the quiet path it was not built for.
+honest model for telemetry-style traffic -- across two legs: JSON
+stop-and-wait (the paper baseline) and the data plane (binary codec with
+load-adaptive batching).  Asserted: data-plane wire bytes <= 0.25x the
+stop-and-wait baseline.  A 1-peer low-load run measures
+per-message delivery latency (p50/p99, simulated clock) with the data
+plane off and on -- batching must not tax the quiet path it was not
+built for.
 """
 
 from __future__ import annotations
@@ -73,7 +73,6 @@ def run_fanout(peers: int, batching: bool, structured: bool = False,
     hosts = ["h0"] + [f"p{i}" for i in range(peers)]
     bed = build_testbed(calibration=FAST_LAN, hosts=hosts)
     bed.network.trace.enabled = False  # measure the guarded fast path
-    codec = bool(runtime_kwargs.get("codec_enabled"))
     producer = bed.add_runtime(
         "h0",
         calibration=FAST_LAN,
@@ -88,10 +87,7 @@ def run_fanout(peers: int, batching: bool, structured: bool = False,
     sinks = []
     for index in range(peers):
         runtime = bed.add_runtime(
-            f"p{index}",
-            calibration=FAST_LAN,
-            batching_enabled=batching,
-            codec_enabled=codec,
+            f"p{index}", calibration=FAST_LAN, batching_enabled=batching
         )
         sink = Translator(f"display-{index}", role="display")
         sink.add_digital_input("data-in", "text/plain", received.append)
@@ -164,19 +160,16 @@ def bench_fanout_matrix() -> dict:
 
 
 def bench_codec_matrix() -> dict:
-    """64-peer fanout with structured payloads: JSON stop-and-wait vs JSON
-    batched (PR 5) vs binary codec + adaptive batching."""
+    """64-peer fanout with structured payloads: JSON stop-and-wait vs the
+    data plane (binary codec + adaptive batching)."""
     stop_and_wait = run_fanout(64, batching=False, structured=True)
-    batched = run_fanout(64, batching=True, structured=True)
-    adaptive = run_fanout(64, batching=True, structured=True, codec_enabled=True)
+    adaptive = run_fanout(64, batching=True, structured=True)
     return {
         "stop_and_wait": stop_and_wait,
-        "batched": batched,
         "codec_adaptive": adaptive,
         "wire_bytes_vs_stop_and_wait": round(
             adaptive["wire_bytes"] / stop_and_wait["wire_bytes"], 3
         ),
-        "speedup_vs_batched": round(batched["sim_s"] / adaptive["sim_s"], 2),
     }
 
 
@@ -190,12 +183,12 @@ def percentile(samples, fraction: float) -> float:
     return ranked[index]
 
 
-def run_latency(codec: bool) -> dict:
+def run_latency(data_plane: bool) -> dict:
     """1-peer low load: one spaced message at a time, per-message delivery
     latency on the simulated clock."""
     bed = build_testbed(calibration=FAST_LAN, hosts=["h0", "p0"])
     bed.network.trace.enabled = False
-    kwargs = dict(calibration=FAST_LAN, batching_enabled=True, codec_enabled=codec)
+    kwargs = dict(calibration=FAST_LAN, batching_enabled=data_plane)
     producer = bed.add_runtime("h0", **kwargs)
     consumer = bed.add_runtime("p0", **kwargs)
     source = Translator("feed", role="sensor")
@@ -216,10 +209,10 @@ def run_latency(codec: bool) -> dict:
         sent_at = bed.kernel.now
         out.send(UMessage("text/plain", structured_payload(index)))
         bed.settle(LATENCY_SPACING_S)
-        assert len(deliveries) == index + 1, (codec, index, len(deliveries))
+        assert len(deliveries) == index + 1, (data_plane, index, len(deliveries))
         latencies_ms.append((deliveries[-1] - sent_at) * 1000.0)
     return {
-        "codec": codec,
+        "data_plane": data_plane,
         "messages": LATENCY_MESSAGES,
         "p50_ms": round(percentile(latencies_ms, 0.50), 4),
         "p99_ms": round(percentile(latencies_ms, 0.99), 4),
@@ -227,8 +220,8 @@ def run_latency(codec: bool) -> dict:
 
 
 def bench_latency_pair() -> dict:
-    off = run_latency(codec=False)
-    on = run_latency(codec=True)
+    off = run_latency(data_plane=False)
+    on = run_latency(data_plane=True)
     return {
         "off": off,
         "on": on,
@@ -266,7 +259,7 @@ def test_dataplane_throughput(compare):
 
     results = {
         "benchmark": "dataplane_throughput",
-        "schema": 2,
+        "schema": 3,
         "messages_per_run": MESSAGES,
         "message_bytes": MESSAGE_BYTES,
         "fanout": matrix,
@@ -289,12 +282,12 @@ def test_dataplane_throughput(compare):
             ]
         )
     compare(
-        "Batched vs unbatched peer senders (1 Gbps LAN, 1k-message burst)",
+        "Data plane vs paper peer senders (1 Gbps LAN, 1k-message burst)",
         ["peers", "msgs/s off", "msgs/s on", "speedup", "wire bytes ratio"],
         rows,
     )
     compare(
-        "WAL on (group commit, 8 peers): batched sender vs PR 4 baseline",
+        "WAL on (group commit, 8 peers): data plane vs paper sender",
         ["variant", "msgs/s", "journal records", "spool folds"],
         [
             [
@@ -324,13 +317,6 @@ def test_dataplane_throughput(compare):
                 0,
             ],
             [
-                "JSON batched",
-                codec["batched"]["msgs_per_sim_s"],
-                codec["batched"]["wire_bytes"],
-                codec["batched"]["batches_sent"],
-                0,
-            ],
-            [
                 "codec adaptive",
                 codec["codec_adaptive"]["msgs_per_sim_s"],
                 codec["codec_adaptive"]["wire_bytes"],
@@ -341,7 +327,7 @@ def test_dataplane_throughput(compare):
     )
     compare(
         "Per-message delivery latency (1 peer, low load, simulated ms)",
-        ["codec", "p50 ms", "p99 ms"],
+        ["data plane", "p50 ms", "p99 ms"],
         [
             ["off", latency["off"]["p50_ms"], latency["off"]["p99_ms"]],
             ["on", latency["on"]["p50_ms"], latency["on"]["p99_ms"]],
@@ -364,10 +350,8 @@ def test_dataplane_throughput(compare):
     # Folding engages on consecutive same-peer spool runs (single peer).
     assert wal["single_peer_on"]["spool_folds"] > 0, wal
     # Acceptance (PR 7): the binary codec with adaptive batching cuts
-    # wire bytes to <= 0.25x the JSON stop-and-wait baseline ...
+    # wire bytes to <= 0.25x the JSON stop-and-wait baseline.
     assert codec["wire_bytes_vs_stop_and_wait"] <= 0.25, codec
-    # ... and delivers >= 1.5x messages/s over the PR 5 batched sender.
-    assert codec["speedup_vs_batched"] >= 1.5, codec
     # The adaptive controller actually engaged under the burst backlog.
     assert codec["codec_adaptive"]["batch_adaptations"] > 0, codec
     # Acceptance (PR 7): no p99 latency regression at 1-peer low load.

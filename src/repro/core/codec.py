@@ -30,6 +30,12 @@ Three framing contexts share the value encoding:
   Folded ``spool-batch`` records repeat envelope keys per entry, so the
   per-record table is exactly the vectorized encoding the fold wants.
 
+Which form a frame takes is decided by the sender's own flags alone; every
+receiver decodes every frame kind whatever its own flags, so no per-peer
+negotiation exists.  A runtime with the data plane off emits no binary
+frame at all, and a runtime with compression on sends delta batches and
+compressed bulk gossip to every peer.
+
 Message payloads are special.  A :class:`~repro.core.messages.UMessage`
 payload is usually a *stand-in* Python object whose declared ``size``
 models the native data's bytes.  The codec therefore inline-encodes only
@@ -93,11 +99,11 @@ FRAME_BATCH = 0x02
 FRAME_GOSSIP = 0x03
 #: Batch whose inner envelopes 2..n are field deltas against their
 #: predecessor (stream/origin/dst metadata repeats per envelope; only the
-#: fields that actually change ride the wire).  Sent only to peers that
-#: negotiated the ``z`` capability.
+#: fields that actually change ride the wire).  Sent by runtimes with
+#: compression on.
 FRAME_BATCH_DELTA = 0x04
 #: Self-contained gossip body, zlib-compressed (bulk/full-state transfers).
-#: Sent only to peers that negotiated the ``z`` capability.
+#: Sent by runtimes with compression on.
 FRAME_GOSSIP_Z = 0x05
 
 #: zlib level for block compression: 6 is the stdlib default trade-off and
@@ -117,7 +123,10 @@ DYNAMIC_LIMIT = 4096
 
 #: Protocol strings every encoder and decoder knows a priori (ids are the
 #: tuple indexes; the dynamic table starts right after).  Order is part of
-#: the wire protocol -- append, never reorder.
+#: the wire protocol -- append, never reorder.  Six strings belong to the
+#: retired per-peer codec handshake and its journal records (ids 18, 19,
+#: 93, 94, 97 and 99) and are no longer emitted; they stay as reserved
+#: ids, because removing them would renumber every later id.
 STATIC_SYMBOLS: Tuple[str, ...] = (
     # envelope / batch framing
     "kind", "message", "batch", "count", "envelopes", "mime", "payload",
@@ -784,12 +793,11 @@ def encode_gossip(payload: dict, compress: bool = False) -> BinaryFrame:
 
     With ``compress=True`` the encoded body is zlib-deflated into a
     ``FRAME_GOSSIP_Z`` frame (varint raw length + deflate stream) -- the
-    block-compression form for bulk/full-state transfers.  Callers must
-    only send it to peers that negotiated the ``z`` capability; the CRC
-    still covers the compressed bytes, so corruption is caught before
-    inflation.  Falls back to the plain frame when deflate does not
-    actually shrink the body (tiny payloads), keeping the compressed path
-    never worse than the plain one.
+    block-compression form for bulk/full-state transfers, which every
+    receiver decodes; the CRC still covers the compressed bytes, so
+    corruption is caught before inflation.  Falls back to the plain frame
+    when deflate does not actually shrink the body (tiny payloads),
+    keeping the compressed path never worse than the plain one.
     """
     body = bytearray()
     WireEncoder()._write_value(body, payload)

@@ -821,20 +821,16 @@ class Directory:
         elif full:
             profiles = self._local_profiles()
         payload = self._announcement(profiles, removed, full, heartbeat, changed)
-        if self.runtime.codec_enabled:
+        if self.runtime.data_plane_enabled:
             # Self-contained binary body: datagrams carry their own symbol
-            # table, so every receiver (multicast included) can decode it
-            # without negotiation.  The charged size is the actual frame --
-            # codec-honest bandwidth modeling, not the JSON estimate.
-            # ``compress_for`` names the single unicast target of a bulk
-            # transfer (full-state pull reply / newcomer push): when that
-            # peer negotiated the z capability the body ships
-            # zlib-compressed.  Multicast is never compressed -- receivers
-            # that did not negotiate z could not decode the frame kind.
-            compress = bool(
-                compress_for
-                and self.runtime.transport.compression_ready(compress_for)
-            )
+            # table, so every receiver (multicast included) decodes it.
+            # The charged size is the actual frame -- codec-honest
+            # bandwidth modeling, not the JSON estimate.  ``compress_for``
+            # names the single unicast target of a bulk transfer
+            # (full-state pull reply / newcomer push): with compression on
+            # that body ships zlib-compressed; multicast announcements keep
+            # the plain frame.
+            compress = bool(compress_for and self.runtime.compression_enabled)
             try:
                 frame = encode_gossip(payload, compress=compress)
             except TypeError:
@@ -921,10 +917,9 @@ class Directory:
                 return
             payload = datagram.payload
             if isinstance(payload, BinaryFrame):
-                # Decode capability is unconditional: a JSON-era receiver
-                # build never sees binary datagrams, but a codec-capable
-                # build must accept them whether or not its own sending
-                # side has the flag on.
+                # Decode capability is unconditional: the sender's flags
+                # pick the wire form, and every receiver decodes every
+                # frame kind whatever its own flags.
                 try:
                     payload = decode_gossip(payload)
                 except CodecError as exc:

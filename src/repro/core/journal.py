@@ -256,13 +256,6 @@ class RecoveredState:
     #: every saga invocation this runtime durably applied, so a re-driven
     #: step after recovery re-replies instead of re-applying.
     saga_applied: Dict[str, dict] = field(default_factory=dict)
-    #: peers whose binary-codec negotiation completed (``codec-ready``),
-    #: so a cold-restarted runtime resumes binary frames immediately.
-    codec_peers: List[str] = field(default_factory=list)
-    #: peers whose ``z`` (compression) capability negotiation completed
-    #: (``codec-z-ready``), so a cold-restarted runtime resumes delta and
-    #: compressed frames immediately.
-    codec_z_peers: List[str] = field(default_factory=list)
     #: last journaled load-weight placement state (``shard-weights``):
     #: {"epoch": int, "tiers": {str(shard): tier}} -- restoring it before
     #: placement keeps weighted shard assignment deterministic across
@@ -512,17 +505,13 @@ class Journal:
             data["shard_epoch"] = mirror.shard_epoch
         if mirror.replica_slices:
             data["replica_slices"] = mirror.replica_slices
-        # Same discipline for saga and codec-negotiation state: the fields
-        # appear only once something wrote them, so saga-off (and
-        # codec-off) checkpoints stay byte-identical to PR 7.
+        # Same discipline for saga state: the fields appear only once
+        # something wrote them, so saga-off checkpoints stay
+        # byte-identical to saga-free builds.
         if mirror.sagas:
             data["sagas"] = mirror.sagas
         if mirror.saga_applied:
             data["saga_applied"] = mirror.saga_applied
-        if mirror.codec_peers:
-            data["codec_peers"] = mirror.codec_peers
-        if mirror.codec_z_peers:
-            data["codec_z_peers"] = mirror.codec_z_peers
         if mirror.shard_weights:
             data["shard_weights"] = mirror.shard_weights
         return data
@@ -756,12 +745,6 @@ class Journal:
             state.sagas.pop(data["saga_id"], None)
         elif kind == "saga-applied":
             state.saga_applied[data["key"]] = {"seq": data["seq"]}
-        elif kind == "codec-ready":
-            if data["peer"] not in state.codec_peers:
-                state.codec_peers.append(data["peer"])
-        elif kind == "codec-z-ready":
-            if data["peer"] not in state.codec_z_peers:
-                state.codec_z_peers.append(data["peer"])
         elif kind == "shard-weights":
             state.shard_weights = {
                 "epoch": int(data.get("epoch", 0)),
@@ -813,15 +796,14 @@ class Journal:
                 key: dict(value)
                 for key, value in data.get("saga_applied", {}).items()
             }
-            state.codec_peers = list(data.get("codec_peers", ()))
-            state.codec_z_peers = list(data.get("codec_z_peers", ()))
             state.shard_weights = dict(data.get("shard_weights", {}))
         elif kind == "breaker":
             if data.get("state") == "closed":
                 state.breakers.pop(data["peer"], None)
             else:
                 state.breakers[data["peer"]] = data
-        # Unknown kinds are ignored: forward-compatible replay.
+        # Unknown kinds are ignored: forward-compatible replay (older blobs
+        # also carry the retired codec-negotiation kinds).
 
     @staticmethod
     def _apply_spool_entry(

@@ -225,7 +225,7 @@ class TranslatorProfile:
         """Advertisement size in bytes under the binary wire codec.
 
         The codec-honest counterpart of :meth:`estimated_size`: callers
-        that charge simulated bandwidth while ``codec_enabled`` is on use
+        that charge simulated bandwidth while the data plane is on use
         the actual self-contained binary encoding length, not the JSON
         heuristic.  A profile the codec cannot represent (an attribute int
         beyond the varint range) travels as JSON, so it is charged

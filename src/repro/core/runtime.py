@@ -70,22 +70,28 @@ class UMiddleRuntime:
         self.network = node.network
         self.calibration = calibration
         self.runtime_id = name or f"umiddle-{next(_runtime_counter)}-{node.name}"
-        #: Binary wire codec: envelopes, batch frames, gossip bodies, and
+        #: The scale data plane, one switch under two keywords
+        #: (``batching_enabled`` or ``codec_enabled``; ``compression_enabled``
+        #: implies it): per-peer senders coalesce envelopes into pipelined,
+        #: load-adaptive batch frames, and batch frames, gossip bodies and
         #: journal records use the interned varint encoding from
-        #: :mod:`repro.core.codec` instead of canonical JSON; the transport
-        #: negotiates it per peer (``codec-hello``) and keeps speaking JSON
-        #: to peers that never answer.  Off by default -- the JSON paths
-        #: reproduce the pre-codec wire and journal bytes exactly.  Must be
-        #: set before the journal/directory/transport constructors below,
-        #: which all read it.
-        self.codec_enabled = codec_enabled or compression_enabled
-        #: Data-plane v3: intra-batch delta encoding, zlib block
-        #: compression for bulk/full-state transfers (negotiated per peer
-        #: via a ``codec-hello`` capability bit), compressed journal
-        #: checkpoints, and load-weighted shard placement.  Implies
-        #: ``codec_enabled`` -- the delta and compressed frames are binary
-        #: codec forms.  Off by default: wire bytes, journal bytes and
-        #: shard placement are byte-for-byte the pre-compression build.
+        #: :mod:`repro.core.codec` instead of canonical JSON.  The sender's
+        #: own flags pick the wire form -- every receiver decodes every
+        #: frame kind, so there is no per-peer negotiation.  Off by
+        #: default: the stop-and-wait JSON paths reproduce the paper's wire
+        #: and journal bytes exactly.  Must be set before the
+        #: journal/directory/transport constructors below, which all read
+        #: it.
+        self.data_plane_enabled = bool(
+            batching_enabled or codec_enabled or compression_enabled
+        )
+        #: Data-plane v3: intra-batch delta frames and zlib block
+        #: compression for bulk/full-state transfers to every peer,
+        #: compressed journal checkpoints, and load-weighted shard
+        #: placement.  Implies the data plane -- the delta and compressed
+        #: frames are binary codec forms.  Off by default: wire bytes,
+        #: journal bytes and shard placement are byte-for-byte the
+        #: uncompressed data plane.
         self.compression_enabled = compression_enabled
         # The write-ahead journal must exist before the directory and
         # transport: both append records from their first state change.
@@ -96,7 +102,7 @@ class UMiddleRuntime:
             durable_media(node.network),
             enabled=journal_enabled,
             fsync_interval=fsync_interval,
-            binary=self.codec_enabled,
+            binary=self.data_plane_enabled,
             compress=compression_enabled,
         )
         # Health machinery must exist before the directory and transport:
@@ -108,12 +114,6 @@ class UMiddleRuntime:
             on_peer_change=self._on_peer_health_changed,
         )
         self.supervisor = Supervisor(self)
-        #: Data-plane batching: the per-peer sender coalesces spooled
-        #: envelopes into pipelined batch frames and acks them with one
-        #: journal record per batch.  Off by default -- the unbatched
-        #: sender reproduces the pre-batching wire and journal behavior
-        #: byte for byte.
-        self.batching_enabled = batching_enabled
         #: Sharded directory: the namespace is rendezvous-partitioned over
         #: the federation instead of fully replicated on every node.  Off
         #: by default -- the flat replica reproduces the pre-sharding

@@ -140,7 +140,7 @@ WEIGHT_REPORT_MAX = 32
 WEIGHT_REBALANCE_INTERVAL = 10.0
 
 #: Bulk shard-plane payloads at or above this declared size are eligible
-#: for zlib block compression when the peer negotiated the z capability.
+#: for zlib block compression when the sender has compression on.
 Z_MIN_BYTES = 512
 
 _IndexKey = Tuple[str, str]
@@ -684,7 +684,7 @@ class ShardRouter:
         actual self-contained encoding length, otherwise the legacy JSON
         heuristic.
         """
-        if self.runtime.codec_enabled:
+        if self.runtime.data_plane_enabled:
             return profile.encoded_size()
         return profile.estimated_size()
 
@@ -708,9 +708,7 @@ class ShardRouter:
         """True when load-weighted placement is active.  Rides the
         runtime's compression flag (the opt-in data-plane v3 layer), so
         the default-off shard map is byte-for-byte the unweighted one."""
-        return self.enabled and bool(
-            getattr(self.runtime, "compression_enabled", False)
-        )
+        return self.enabled and self.runtime.compression_enabled
 
     # -- load-weighted placement -------------------------------------------
 
@@ -2210,11 +2208,11 @@ class ShardRouter:
         through the fabric so placement still converges without a kernel.
         Self-targeted sends always short-circuit in process.
 
-        Bulk payloads (slice pushes, cold-ingest stores, anti-entropy
-        full syncs, initial subscription syncs) to peers that negotiated
-        the z capability ship as zlib-compressed self-contained frames
-        charged at their *actual* encoded size; everything else keeps the
-        declared-size dict datagram.
+        With compression on, bulk payloads (slice pushes, cold-ingest
+        stores, anti-entropy full syncs, initial subscription syncs) ship
+        as zlib-compressed self-contained frames charged at their *actual*
+        encoded size; everything else keeps the declared-size dict
+        datagram.  Every receiver decodes both.
         """
         if runtime_id == self.runtime_id:
             self.handle(payload)
@@ -2224,9 +2222,7 @@ class ShardRouter:
             info = self.directory.runtime_info(runtime_id)
             if info is None:
                 return
-            if size >= Z_MIN_BYTES and self.runtime.transport.compression_ready(
-                runtime_id
-            ):
+            if size >= Z_MIN_BYTES and self.runtime.compression_enabled:
                 try:
                     frame = encode_gossip(payload, compress=True)
                 except TypeError:

@@ -59,12 +59,13 @@ ENVELOPE_HEADER_BYTES = 64
 
 
 class _AdaptiveBatch:
-    """Per-peer load-adaptive batching state (codec mode only).
+    """Per-peer load-adaptive batching state (data plane on).
 
-    Caps start at the PR 5 constants and move with observed backlog: they
-    grow while the outbox outruns a full pipeline window and decay back
-    once the peer has been idle, so sustained throughput gets big frames
-    and wide windows while a quiet peer keeps single-frame latency.
+    Caps start at the base batch constants and move with observed
+    backlog: they grow while the outbox outruns a full pipeline window
+    and decay back once the peer has been idle, so sustained throughput
+    gets big frames and wide windows while a quiet peer keeps
+    single-frame latency.
     """
 
     __slots__ = ("max_envelopes", "max_bytes", "window", "flush_delay_s",
@@ -308,20 +309,21 @@ class Transport:
     #: high-water mark -- which would make it suppress *new* messages as
     #: duplicates.  One forced fsync per SEQ_RESERVE_CHUNK stamps.
     SEQ_RESERVE_CHUNK = 64
-    #: Batching mode: most envelopes coalesced into one wire frame.
+    #: Base (idle-peer) batch caps the adaptive controller starts from and
+    #: decays back to: most envelopes coalesced into one wire frame ...
     BATCH_MAX_ENVELOPES = 32
-    #: Batching mode: soft byte ceiling per batch frame (a single envelope
-    #: larger than this still ships, alone).
+    #: ... soft byte ceiling per batch frame (a single envelope larger
+    #: than this still ships, alone) ...
     BATCH_MAX_BYTES = 8192
-    #: Batching mode: batches in flight before the sender blocks on the
-    #: stream's drain barrier; acks are journaled in order afterwards.
+    #: ... and batches in flight before the sender blocks on the stream's
+    #: drain barrier; acks are journaled in order afterwards.
     PIPELINE_WINDOW = 4
-    #: Per-envelope framing bytes inside a batch frame (length prefix +
-    #: offsets), charged on top of the shared ENVELOPE_HEADER_BYTES.
+    #: Per-envelope framing bytes inside a JSON batch frame (length prefix
+    #: + offsets), charged on top of the shared ENVELOPE_HEADER_BYTES.
     BATCH_SUBHEADER_BYTES = 8
-    #: Load-adaptive ceilings (codec mode): batch caps and the pipeline
-    #: window double under sustained backlog up to these, and decay back
-    #: to the PR 5 constants when the peer goes idle.
+    #: Load-adaptive ceilings: batch caps and the pipeline window double
+    #: under sustained backlog up to these, and decay back to the base
+    #: constants when the peer goes idle.
     ADAPT_MAX_ENVELOPES = 256
     ADAPT_MAX_BYTES = 65536
     ADAPT_MAX_WINDOW = 16
@@ -334,35 +336,18 @@ class Transport:
     def __init__(self, runtime: "UMiddleRuntime", port: int):
         self.runtime = runtime
         self.port = port
-        #: When True the per-peer senders run the batched + pipelined data
-        #: plane; when False they reproduce the stop-and-wait wire and
-        #: journal behavior byte for byte.
-        self.batching = bool(getattr(runtime, "batching_enabled", False))
-        #: Binary wire codec: envelopes and batch frames to peers that
-        #: completed the ``codec-hello`` handshake ship as interned binary
-        #: frames; everything else stays canonical JSON (per-peer
-        #: fallback), so mixed-version federations interoperate.
-        self.codec = bool(getattr(runtime, "codec_enabled", False))
-        #: Load-adaptive batching replaces the fixed batch constants; it
-        #: rides the codec flag so the default-off data plane is PR 6
-        #: byte for byte.
-        self.adaptive = self.codec and self.batching
-        #: Data-plane v3: intra-batch delta encoding and zlib block
-        #: compression, negotiated per peer as a ``z`` capability bit on
-        #: the codec hello/welcome.  Implies the codec (the runtime
-        #: constructor enforces it); peers that never advertise ``z`` keep
-        #: receiving plain codec (or JSON) frames.
-        self.compression = bool(getattr(runtime, "compression_enabled", False))
-        #: Peers confirmed (via hello/welcome) to decode binary frames.
-        self._codec_ready: set = set()
-        #: Peers confirmed (via the ``z`` capability bit) to decode delta
-        #: batches and compressed bulk frames.
-        self._z_ready: set = set()
-        #: Peers we already offered the codec to (one hello per peer).
-        self._hello_sent: set = set()
+        #: The sender's own flags pick the wire form; every receiver decodes
+        #: every frame kind.  With the data plane on, the per-peer senders
+        #: coalesce envelopes into pipelined, load-adaptive batch frames in
+        #: the binary codec; with it off they reproduce the stop-and-wait
+        #: JSON wire and journal behavior byte for byte.
+        self.data_plane = runtime.data_plane_enabled
+        #: Data-plane v3: intra-batch delta frames and zlib-compressed
+        #: bulk transfers to every peer (implies the data plane).
+        self.compression = runtime.compression_enabled
         #: Per-peer symbol-interning encoders, reset with their stream.
         self._encoders: Dict[str, WireEncoder] = {}
-        #: Per-peer adaptive batching state (codec mode only).
+        #: Per-peer adaptive batching state.
         self._adaptive: Dict[str, _AdaptiveBatch] = {}
         self.codec_frames_sent = 0
         self.codec_fallbacks = 0
@@ -473,14 +458,9 @@ class Transport:
         self._stream_seqs.clear()
         self._stream_reserved.clear()
         self._dedup.clear()
-        # Adaptive batching state is in-memory only (a recovered sender
-        # re-learns the load).  Codec negotiation dies here too, but the
-        # journaled ``codec-ready`` records let :meth:`recover` restore
-        # it, so a cold-crashed runtime resumes binary frames without
-        # respooling JSON until re-welcomed.
-        self._codec_ready.clear()
-        self._z_ready.clear()
-        self._hello_sent.clear()
+        # Adaptive batching state and symbol tables are in-memory only (a
+        # recovered sender re-learns the load; a fresh stream re-teaches
+        # the peer's decoder).
         self._encoders.clear()
         self._adaptive.clear()
 
@@ -517,18 +497,6 @@ class Transport:
             entries[:] = kept
             if self.started and outbox and peer not in self._peer_senders:
                 self._spawn_sender(peer)
-        if self.codec:
-            # Journaled codec negotiations survive the cold crash: resume
-            # binary frames to every peer that welcomed (or offered) the
-            # codec, and suppress the redundant re-hello.
-            for peer in state.codec_peers:
-                self._codec_ready.add(peer)
-                self._hello_sent.add(peer)
-        if self.compression:
-            # Same for the journaled z-capability handshakes: delta and
-            # compressed frames resume without a renegotiation round-trip.
-            for peer in state.codec_z_peers:
-                self._z_ready.add(peer)
         for peer, snapshot in state.breakers.items():
             breaker = CircuitBreaker(
                 self.runtime.kernel,
@@ -760,13 +728,6 @@ class Transport:
             # spooling would only doom more envelopes.
             self.spool_flushed += 1
             return
-        if self.codec and runtime_id not in self._hello_sent:
-            # Offer the binary codec ahead of the first envelope (the
-            # guard is set before recursing, so the hello itself does not
-            # re-offer).  Until the peer's welcome arrives every frame
-            # ships as canonical JSON -- the mixed-version fallback.
-            self._hello_sent.add(runtime_id)
-            self._send_control(runtime_id, self._codec_hello())
         if stream is not None:
             seq = self._stream_seqs.get(stream, 0) + 1
             self._stream_seqs[stream] = seq
@@ -814,7 +775,7 @@ class Transport:
         ack/drop pops aligned and carries the stream sequence, but cannot
         be respooled after a cold restart).
 
-        In batching mode the record goes through the journal's amortized
+        With the data plane on the record goes through the journal's amortized
         :meth:`~repro.core.journal.Journal.append_spool` path, which folds
         consecutive same-peer appends still in the group-commit window
         into one growing ``spool-batch`` record; the write-ahead point
@@ -822,7 +783,7 @@ class Transport:
         journal = self.runtime.journal
         if force_opaque:
             envelope = self._opaque_marker(envelope)
-        if self.batching:
+        if self.data_plane:
             try:
                 journal.append_spool(peer, envelope, size)
             except TypeError:
@@ -844,7 +805,7 @@ class Transport:
         }
 
     def _spawn_sender(self, runtime_id: str) -> None:
-        sender = self._peer_sender_batched if self.batching else self._peer_sender
+        sender = self._peer_sender_batched if self.data_plane else self._peer_sender
         self._peer_senders[runtime_id] = self.runtime.kernel.process(
             sender(runtime_id),
             name=f"peer-sender:{self.runtime.runtime_id}->{runtime_id}",
@@ -925,50 +886,18 @@ class Transport:
         )
         return attempts, backoff
 
-    # -- binary codec (per-peer negotiation + encoding) -----------------------
-
-    def _codec_encoder(self, runtime_id: str) -> WireEncoder:
-        encoder = self._encoders.get(runtime_id)
-        if encoder is None:
-            encoder = WireEncoder()
-            self._encoders[runtime_id] = encoder
-        return encoder
-
-    def _encode_envelope(self, runtime_id: str, envelope: dict):
-        """Binary frame for one envelope, or None for the JSON fallback.
-
-        None means either the peer never completed the codec handshake
-        (mixed-version federation) or the envelope is not representable;
-        both are counted in ``codec_fallbacks``."""
-        if not self.codec:
-            return None
-        if runtime_id not in self._codec_ready:
-            self.codec_fallbacks += 1
-            return None
-        try:
-            return self._codec_encoder(runtime_id).encode_envelope(envelope)
-        except TypeError as exc:
-            self.codec_fallbacks += 1
-            if self.runtime.tracing:
-                self.runtime.trace(
-                    "codec.fallback",
-                    f"to {runtime_id}: envelope not binary-representable "
-                    f"({exc}); sent as JSON",
-                )
-            return None
+    # -- binary codec (per-peer symbol tables) --------------------------------
 
     def _encode_batch(self, runtime_id: str, envelopes: List[dict]):
-        """Binary frame for a whole batch, or None for the JSON fallback."""
-        if not self.codec or runtime_id not in self._codec_ready:
-            if self.codec:
-                self.codec_fallbacks += 1
-            return None
-        encoder = self._codec_encoder(runtime_id)
+        """Binary frame for a whole batch, or None for the JSON batch dict
+        when the codec cannot represent it (counted in ``codec_fallbacks``)."""
+        encoder = self._encoders.get(runtime_id)
+        if encoder is None:
+            encoder = self._encoders[runtime_id] = WireEncoder()
         try:
-            if len(envelopes) >= 2 and runtime_id in self._z_ready:
+            if self.compression and len(envelopes) >= 2:
                 # Delta-encode the repeated per-envelope metadata against
-                # the previous header -- only to peers that negotiated the
-                # z capability; everyone else gets the plain batch frame.
+                # the previous header.
                 frame = encoder.encode_batch_delta(envelopes)
                 self.delta_batches_sent += 1
                 return frame
@@ -1004,7 +933,7 @@ class Transport:
         - Trickling (some backlog, but less than one full batch): grow the
           flush timer so forming batches fill before shipping.
         - Drained: zero the flush timer immediately; after two
-          consecutive idle rounds decay caps/window back toward the PR 5
+          consecutive idle rounds decay caps/window back toward the base
           constants.
         """
         changed = None
@@ -1059,7 +988,8 @@ class Transport:
                 )
 
     def _peer_sender(self, runtime_id: str) -> Generator:
-        """Drains the outbox for one peer over a single stream.
+        """Drains the outbox for one peer over a single stream: the paper's
+        stop-and-wait JSON path (data plane off).
 
         Serializes envelope marshaling with TCP per-segment processing, the
         way a single sender thread would.  Failed deliveries are retried
@@ -1082,23 +1012,12 @@ class Transport:
                     stream = self._peer_streams.get(runtime_id)
                     if stream is None or stream.closed:
                         stream = yield from self._open_peer_stream(runtime_id)
-                    frame = self._encode_envelope(runtime_id, envelope)
-                    if frame is not None:
-                        # Binary codec: marshal cost and wire bytes both
-                        # come from the actual encoded frame.
-                        payload: object = frame
-                        wire_size = frame.wire_size
-                        cost_bytes = frame.wire_size
-                        self.codec_frames_sent += 1
-                    else:
-                        payload = envelope
-                        wire_size = size + ENVELOPE_HEADER_BYTES
-                        cost_bytes = size
                     yield kernel.timeout(
-                        umiddle.envelope_fixed_s
-                        + umiddle.envelope_per_byte_s * cost_bytes
+                        umiddle.envelope_fixed_s + umiddle.envelope_per_byte_s * size
                     )
-                    yield from stream.send_inline(payload, wire_size)
+                    yield from stream.send_inline(
+                        envelope, size + ENVELOPE_HEADER_BYTES
+                    )
                     # Only count the envelope delivered once the peer's TCP
                     # has acknowledged it; a stream dying with data in its
                     # send window must re-deliver, not silently drop.
@@ -1122,23 +1041,19 @@ class Transport:
             if current is not None and current is kernel.active_process:
                 del self._peer_senders[runtime_id]
 
+    @staticmethod
     def _form_batch(
-        self,
         outbox: Deque[Tuple[str, dict, int]],
         start: int,
-        max_envelopes: Optional[int] = None,
-        max_bytes: Optional[int] = None,
+        max_envelopes: int,
+        max_bytes: int,
     ) -> List[Tuple[str, dict, int]]:
-        """Copy up to ``max_envelopes``/``max_bytes`` head entries (the PR 5
-        constants unless adaptive batching supplies live caps) beginning at
-        ``start`` (entries before it are already staged in an in-flight
-        batch).  The outbox is only *peeked*: entries are popped at ack
-        time, so the journal's FIFO view and the in-memory spool stay
-        aligned even if the sender dies mid-flight."""
-        if max_envelopes is None:
-            max_envelopes = self.BATCH_MAX_ENVELOPES
-        if max_bytes is None:
-            max_bytes = self.BATCH_MAX_BYTES
+        """Copy up to ``max_envelopes``/``max_bytes`` head entries (the
+        adaptive controller's live caps) beginning at ``start`` (entries
+        before it are already staged in an in-flight batch).  The outbox
+        is only *peeked*: entries are popped at ack time, so the journal's
+        FIFO view and the in-memory spool stay aligned even if the sender
+        dies mid-flight."""
         batch: List[Tuple[str, dict, int]] = []
         total = 0
         for entry in itertools.islice(outbox, start, None):
@@ -1153,15 +1068,16 @@ class Transport:
         self,
         stream: StreamSocket,
         batch: List[Tuple[str, dict, int]],
-        runtime_id: Optional[str] = None,
+        runtime_id: str,
     ) -> Generator:
         """Marshal and transmit one coalesced batch frame.
 
         One fixed marshal cost covers the whole frame (that is the
         amortization); the per-byte cost still scales with the payload.
-        With the codec negotiated for ``runtime_id`` the whole batch ships
-        as one interned binary frame whose *actual* encoded bytes drive
-        both the marshal cost and the wire accounting."""
+        The batch ships as one interned binary frame whose *actual*
+        encoded bytes drive both the marshal cost and the wire
+        accounting; only a batch the codec cannot represent falls back to
+        the JSON batch dict."""
         kernel = self.runtime.kernel
         umiddle = self.runtime.calibration.umiddle
         total = 0
@@ -1169,11 +1085,7 @@ class Transport:
         for _rid, envelope, size in batch:
             envelopes.append(envelope)
             total += size
-        binary = (
-            self._encode_batch(runtime_id, envelopes)
-            if runtime_id is not None and self.codec
-            else None
-        )
+        binary = self._encode_batch(runtime_id, envelopes)
         if binary is not None:
             frame: object = binary
             wire_size = binary.wire_size
@@ -1194,10 +1106,11 @@ class Transport:
         self.batches_sent += 1
 
     def _peer_sender_batched(self, runtime_id: str) -> Generator:
-        """Batched + pipelined variant of :meth:`_peer_sender`.
+        """Batched + pipelined variant of :meth:`_peer_sender` (data plane
+        on).
 
         Peeks runs of outbox entries into coalesced batch frames, keeps up
-        to PIPELINE_WINDOW batches in flight, then blocks once on the
+        to the adaptive window of batches in flight, then blocks once on the
         stream's drain barrier and acks every in-flight batch in order --
         one journaled ``spool-ack {count: k}`` per batch.  Because the
         outbox is peeked (not popped) until the barrier, a crash at any
@@ -1207,18 +1120,14 @@ class Transport:
         runtime = self.runtime
         kernel = runtime.kernel
         outbox = self._peer_outboxes[runtime_id]
-        adapt = self._adaptive_state(runtime_id) if self.adaptive else None
+        adapt = self._adaptive_state(runtime_id)
         attempts = 0
         try:
             while True:
                 if not outbox:
                     yield self._park_for_outbox(runtime_id)
                     continue
-                if (
-                    adapt is not None
-                    and adapt.flush_delay_s > 0.0
-                    and len(outbox) < adapt.max_envelopes
-                ):
+                if adapt.flush_delay_s > 0.0 and len(outbox) < adapt.max_envelopes:
                     # A hot producer keeps trickling: wait briefly so the
                     # forming batch fills instead of shipping underfull.
                     # The delay is zero whenever the peer recently drained,
@@ -1228,20 +1137,12 @@ class Transport:
                     stream = self._peer_streams.get(runtime_id)
                     if stream is None or stream.closed:
                         stream = yield from self._open_peer_stream(runtime_id)
-                    if adapt is not None:
-                        window = adapt.window
-                        max_envelopes = adapt.max_envelopes
-                        max_bytes = adapt.max_bytes
-                    else:
-                        window = self.PIPELINE_WINDOW
-                        max_envelopes = self.BATCH_MAX_ENVELOPES
-                        max_bytes = self.BATCH_MAX_BYTES
                     inflight: List[int] = []
                     staged = 0
                     while staged < len(outbox) or inflight:
-                        while staged < len(outbox) and len(inflight) < window:
+                        while staged < len(outbox) and len(inflight) < adapt.window:
                             batch = self._form_batch(
-                                outbox, staged, max_envelopes, max_bytes
+                                outbox, staged, adapt.max_envelopes, adapt.max_bytes
                             )
                             if not batch:
                                 break
@@ -1264,11 +1165,7 @@ class Transport:
                         staged = 0
                         attempts = 0
                         self._record_delivery_success(runtime_id)
-                        if adapt is not None:
-                            self._adapt_batching(runtime_id, adapt, len(outbox))
-                            window = adapt.window
-                            max_envelopes = adapt.max_envelopes
-                            max_bytes = adapt.max_bytes
+                        self._adapt_batching(runtime_id, adapt, len(outbox))
                 except (SocketError, TransportError) as exc:
                     # In-flight entries were never popped; they are still
                     # the head of the outbox (and of the journal's FIFO),
@@ -1333,14 +1230,6 @@ class Transport:
         breaker = self._breakers.get(runtime_id)
         if breaker is not None:
             breaker.probe_now()
-        if self.codec and runtime_id not in self._hello_sent:
-            # Negotiate the codec at discovery time, so by the time the
-            # first application envelope is spooled the peer's welcome has
-            # usually landed and the stream is binary from byte one
-            # (instead of spending the first pipeline window on JSON while
-            # the handshake is in flight).
-            self._hello_sent.add(runtime_id)
-            self._send_control(runtime_id, self._codec_hello())
 
     def _open_peer_stream(self, runtime_id: str) -> Generator:
         info = self.runtime.directory.runtime_info(runtime_id)
@@ -1469,37 +1358,6 @@ class Transport:
             path = self._paths_by_id.get(envelope["path_id"])
             if path is not None:
                 path.close()
-        elif kind == "codec-hello":
-            # The peer offers the binary codec (which also proves it can
-            # decode our frames).  Confirm with a welcome when we speak it
-            # too; otherwise stay silent -- the peer keeps sending JSON,
-            # which is the whole mixed-version story.
-            origin = envelope.get("origin")
-            if origin is None:
-                return
-            if self.codec:
-                self._note_codec_peer(origin)
-                if self.compression and "z" in envelope.get("caps", ()):
-                    self._note_z_peer(origin)
-                welcome = {"kind": "codec-welcome"}
-                if self.compression:
-                    # Advertise our own capabilities back; a peer without
-                    # compression reads only the kind and ignores this.
-                    welcome["caps"] = ["z"]
-                self._send_control(origin, welcome)
-            else:
-                self.codec_fallbacks += 1
-                self.runtime.trace(
-                    "codec.fallback",
-                    f"peer {origin} offered the binary codec; "
-                    "declining (codec disabled here)",
-                )
-        elif kind == "codec-welcome":
-            origin = envelope.get("origin")
-            if origin is not None and self.codec:
-                self._note_codec_peer(origin)
-                if self.compression and "z" in envelope.get("caps", ()):
-                    self._note_z_peer(origin)
         elif kind == "saga-invoke":
             self.runtime.sagas.handle_invoke(envelope)
         elif kind == "saga-result":
@@ -1508,37 +1366,6 @@ class Transport:
             self.runtime.trace(
                 "transport.protocol-error", f"unknown envelope kind {kind!r}"
             )
-
-    def _note_codec_peer(self, origin: str) -> None:
-        """Mark a peer binary-capable and journal the fact (``codec-ready``),
-        so a cold restart resumes binary frames instead of falling back to
-        JSON until a fresh hello/welcome round-trip."""
-        if origin in self._codec_ready:
-            return
-        self._codec_ready.add(origin)
-        self.runtime.journal.append("codec-ready", {"peer": origin})
-
-    def _codec_hello(self) -> dict:
-        """The codec offer, carrying the z capability bit when this
-        runtime speaks delta/compressed frames.  Pre-capability peers read
-        only the kind, so the extra field degrades transparently."""
-        hello = {"kind": "codec-hello"}
-        if self.compression:
-            hello["caps"] = ["z"]
-        return hello
-
-    def _note_z_peer(self, origin: str) -> None:
-        """Mark a peer delta/compression-capable and journal the fact
-        (``codec-z-ready``), mirroring :meth:`_note_codec_peer`."""
-        if origin in self._z_ready:
-            return
-        self._z_ready.add(origin)
-        self.runtime.journal.append("codec-z-ready", {"peer": origin})
-
-    def compression_ready(self, runtime_id: str) -> bool:
-        """True when bulk transfers to this peer may use compressed
-        frames (the z capability handshake completed both ways)."""
-        return self.compression and runtime_id in self._z_ready
 
     def _is_duplicate(self, origin: str, stream: str, seq: int) -> bool:
         """Receiver-side exactly-once window.

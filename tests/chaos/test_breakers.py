@@ -6,8 +6,6 @@ closed on recovery), and an identical fault schedule run with health
 disabled shows the adaptive runtime re-binds faster and wastes fewer
 delivery attempts."""
 
-import os
-
 from repro.chaos import FaultPlan, RecoveryReport, time_to_rebind
 from repro.core.directory import LEASE
 from repro.core.messages import UMessage
@@ -15,25 +13,9 @@ from repro.core.query import Query
 from repro.core.translator import Translator
 from repro.testbed import build_testbed
 
+from tests.chaos.flags import RUNTIME_FLAGS
+
 CRASH_AT = 2.0
-#: CHAOS_BATCHING=1 drives the breaker lifecycle through the batched +
-#: pipelined peer senders; trip/probe/close semantics must be identical.
-BATCHING = os.environ.get("CHAOS_BATCHING", "0") == "1"
-
-#: CHAOS_SHARDED=1 drives the breaker lifecycle with the rendezvous-
-#: sharded directory in the loop.
-SHARDED = os.environ.get("CHAOS_SHARDED", "0") == "1"
-
-#: CHAOS_CODEC=1 re-runs every scenario with the binary wire codec +
-#: load-adaptive batching active on every runtime (binary envelopes,
-#: batch frames, gossip bodies, and WAL record bodies).
-CODEC = os.environ.get("CHAOS_CODEC", "0") == "1"
-
-#: CHAOS_COMPRESSION=1 re-runs every scenario with the opt-in data-plane
-#: v3 layer (intra-batch delta frames, zlib bulk transfers and
-#: load-weighted shard placement); compression implies the codec, and
-#: every crash/recovery invariant must hold identically.
-COMPRESSION = os.environ.get("CHAOS_COMPRESSION", "0") == "1"
 
 
 def text(payload, size=100):
@@ -52,8 +34,8 @@ def drip(bed, out, count, interval=0.5):
 def crash_pair(restart_after):
     """Source on r1 query-bound to a sink on r2; r2 crashes at CRASH_AT."""
     bed = build_testbed(hosts=["h1", "h2"])
-    r1 = bed.add_runtime("h1", batching_enabled=BATCHING, sharding_enabled=SHARDED, codec_enabled=CODEC, compression_enabled=COMPRESSION)
-    r2 = bed.add_runtime("h2", batching_enabled=BATCHING, sharding_enabled=SHARDED, codec_enabled=CODEC, compression_enabled=COMPRESSION)
+    r1 = bed.add_runtime("h1", **RUNTIME_FLAGS)
+    r2 = bed.add_runtime("h2", **RUNTIME_FLAGS)
 
     received = []
     sink = Translator("display", role="display")
@@ -125,15 +107,9 @@ def failover_triple(health_enabled):
     """r1 hosts a source with a failover binding; r2 and r3 each host a
     matching sink.  r2 (the initially-bound target) crashes for good."""
     bed = build_testbed(hosts=["h1", "h2", "h3"])
-    r1 = bed.add_runtime(
-        "h1", health_enabled=health_enabled, batching_enabled=BATCHING, sharding_enabled=SHARDED, codec_enabled=CODEC, compression_enabled=COMPRESSION
-    )
-    r2 = bed.add_runtime(
-        "h2", health_enabled=health_enabled, batching_enabled=BATCHING, sharding_enabled=SHARDED, codec_enabled=CODEC, compression_enabled=COMPRESSION
-    )
-    r3 = bed.add_runtime(
-        "h3", health_enabled=health_enabled, batching_enabled=BATCHING, sharding_enabled=SHARDED, codec_enabled=CODEC, compression_enabled=COMPRESSION
-    )
+    r1 = bed.add_runtime("h1", health_enabled=health_enabled, **RUNTIME_FLAGS)
+    r2 = bed.add_runtime("h2", health_enabled=health_enabled, **RUNTIME_FLAGS)
+    r3 = bed.add_runtime("h3", health_enabled=health_enabled, **RUNTIME_FLAGS)
 
     received = []
     for index, runtime in enumerate((r2, r3)):

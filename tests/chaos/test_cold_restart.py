@@ -9,7 +9,6 @@ rather than delivered twice.
 """
 
 import json
-import os
 import random
 import re
 
@@ -21,28 +20,9 @@ from repro.core.query import Query
 from repro.core.translator import Translator
 from repro.testbed import build_testbed
 
+from tests.chaos.flags import RUNTIME_FLAGS
+
 SEEDS = [7, 23, 101]
-
-#: CHAOS_BATCHING=1 re-runs every scenario with the batched + pipelined
-#: peer senders (counted spool-acks, folded spool-batch records); all
-#: crash-consistency invariants must hold identically in both modes.
-BATCHING = os.environ.get("CHAOS_BATCHING", "0") == "1"
-
-#: CHAOS_SHARDED=1 re-runs every crash-consistency scenario with the
-#: rendezvous-sharded directory: shard placements and ownership ride
-#: the same journal and must recover just as exactly.
-SHARDED = os.environ.get("CHAOS_SHARDED", "0") == "1"
-
-#: CHAOS_CODEC=1 re-runs every scenario with the binary wire codec +
-#: load-adaptive batching active on every runtime (binary envelopes,
-#: batch frames, gossip bodies, and WAL record bodies).
-CODEC = os.environ.get("CHAOS_CODEC", "0") == "1"
-
-#: CHAOS_COMPRESSION=1 re-runs every scenario with the opt-in data-plane
-#: v3 layer (intra-batch delta frames, zlib bulk transfers and
-#: load-weighted shard placement); compression implies the codec, and
-#: every crash/recovery invariant must hold identically.
-COMPRESSION = os.environ.get("CHAOS_COMPRESSION", "0") == "1"
 
 ROLES = ["display", "storage", "printer", "sensor"]
 MIMES = ["text/plain", "image/jpeg", "audio/wav"]
@@ -85,13 +65,9 @@ def path_shape(runtime):
 
 class TestColdRestart:
     def build(self, **kwargs):
-        kwargs.setdefault("batching_enabled", BATCHING)
-        kwargs.setdefault("sharding_enabled", SHARDED)
-        kwargs.setdefault("codec_enabled", CODEC)
-        kwargs.setdefault("compression_enabled", COMPRESSION)
         bed = build_testbed(hosts=["h1", "h2"])
-        r1 = bed.add_runtime("h1", **kwargs)
-        r2 = bed.add_runtime("h2", batching_enabled=BATCHING, sharding_enabled=SHARDED, codec_enabled=CODEC, compression_enabled=COMPRESSION)
+        r1 = bed.add_runtime("h1", **{**RUNTIME_FLAGS, **kwargs})
+        r2 = bed.add_runtime("h2", **RUNTIME_FLAGS)
         received = []
         sink = Translator("display-0", role="display")
         sink.add_digital_input("data-in", "text/plain", received.append)
@@ -286,8 +262,8 @@ class TestSeededEquivalence:
     def build_population(self, seed):
         rng = random.Random(seed)
         bed = build_testbed(hosts=["h1", "h2"])
-        r1 = bed.add_runtime("h1", batching_enabled=BATCHING, sharding_enabled=SHARDED, codec_enabled=CODEC, compression_enabled=COMPRESSION)
-        r2 = bed.add_runtime("h2", batching_enabled=BATCHING, sharding_enabled=SHARDED, codec_enabled=CODEC, compression_enabled=COMPRESSION)
+        r1 = bed.add_runtime("h1", **RUNTIME_FLAGS)
+        r2 = bed.add_runtime("h2", **RUNTIME_FLAGS)
         for index in range(rng.randrange(4, 9)):
             translator = Translator(
                 f"svc-{seed}-{index}", role=rng.choice(ROLES)
@@ -338,8 +314,8 @@ class TestSeededEquivalence:
 class TestExactlyOnce:
     def build_pipeline(self):
         bed = build_testbed(hosts=["h1", "h2"])
-        r1 = bed.add_runtime("h1", batching_enabled=BATCHING, sharding_enabled=SHARDED, codec_enabled=CODEC, compression_enabled=COMPRESSION)
-        r2 = bed.add_runtime("h2", batching_enabled=BATCHING, sharding_enabled=SHARDED, codec_enabled=CODEC, compression_enabled=COMPRESSION)
+        r1 = bed.add_runtime("h1", **RUNTIME_FLAGS)
+        r2 = bed.add_runtime("h2", **RUNTIME_FLAGS)
         received = []
         sink = Translator("display-0", role="display")
         sink.add_digital_input("data-in", "text/plain", received.append)
@@ -387,10 +363,8 @@ class TestExactlyOnce:
         counters past everything the receiver ever saw -- new messages must
         never be mistaken for duplicates of reused sequence numbers."""
         bed = build_testbed(hosts=["h1", "h2"])
-        r1 = bed.add_runtime(
-            "h1", fsync_interval=5.0, batching_enabled=BATCHING, sharding_enabled=SHARDED, codec_enabled=CODEC, compression_enabled=COMPRESSION
-        )
-        r2 = bed.add_runtime("h2", batching_enabled=BATCHING, sharding_enabled=SHARDED, codec_enabled=CODEC, compression_enabled=COMPRESSION)
+        r1 = bed.add_runtime("h1", fsync_interval=5.0, **RUNTIME_FLAGS)
+        r2 = bed.add_runtime("h2", **RUNTIME_FLAGS)
         received = []
         sink = Translator("display-0", role="display")
         sink.add_digital_input("data-in", "text/plain", received.append)
@@ -455,10 +429,8 @@ class TestExactlyOnce:
         pre-journal behavior: a warm-style relearn with nothing respooled
         from stable storage."""
         bed = build_testbed(hosts=["h1", "h2"])
-        r1 = bed.add_runtime(
-            "h1", journal_enabled=False, batching_enabled=BATCHING, sharding_enabled=SHARDED, codec_enabled=CODEC, compression_enabled=COMPRESSION
-        )
-        r2 = bed.add_runtime("h2", batching_enabled=BATCHING, sharding_enabled=SHARDED, codec_enabled=CODEC, compression_enabled=COMPRESSION)
+        r1 = bed.add_runtime("h1", journal_enabled=False, **RUNTIME_FLAGS)
+        r2 = bed.add_runtime("h2", **RUNTIME_FLAGS)
         received = []
         sink = Translator("display-0", role="display")
         sink.add_digital_input("data-in", "text/plain", received.append)
@@ -491,9 +463,9 @@ class TestExactlyOnce:
         but dedup keys on per-(sender, path) envelope sequences, so no
         cross-runtime message is ever mistaken for a duplicate."""
         bed = build_testbed(hosts=["h1", "h2", "h3"])
-        r1 = bed.add_runtime("h1", batching_enabled=BATCHING, sharding_enabled=SHARDED, codec_enabled=CODEC, compression_enabled=COMPRESSION)
-        r2 = bed.add_runtime("h2", batching_enabled=BATCHING, sharding_enabled=SHARDED, codec_enabled=CODEC, compression_enabled=COMPRESSION)
-        r3 = bed.add_runtime("h3", batching_enabled=BATCHING, sharding_enabled=SHARDED, codec_enabled=CODEC, compression_enabled=COMPRESSION)
+        r1 = bed.add_runtime("h1", **RUNTIME_FLAGS)
+        r2 = bed.add_runtime("h2", **RUNTIME_FLAGS)
+        r3 = bed.add_runtime("h3", **RUNTIME_FLAGS)
         received = []
         sink = Translator("display-0", role="display")
         sink.add_digital_input("data-in", "text/plain", received.append)

@@ -13,11 +13,9 @@ original participant comes back.
 
 ``CHAOS_SEED`` salts the workload (token names and saga ids feed the
 jittered backoff seeds), so the CI matrix sweeps the boundaries under
-multiple seeds; ``CHAOS_BATCHING`` / ``CHAOS_SHARDED`` / ``CHAOS_CODEC``
-re-run the sweep on those transport/directory variants.
+multiple seeds; ``CHAOS_DATAPLANE`` / ``CHAOS_SHARDED`` re-run the sweep
+on those transport/directory variants (see :mod:`tests.chaos.flags`).
 """
-
-import os
 
 import pytest
 
@@ -27,16 +25,7 @@ from repro.core.query import Query
 from repro.core.translator import Translator
 from repro.testbed import build_testbed
 
-SEED = int(os.environ.get("CHAOS_SEED", "7"))
-BATCHING = os.environ.get("CHAOS_BATCHING", "0") == "1"
-SHARDED = os.environ.get("CHAOS_SHARDED", "0") == "1"
-CODEC = os.environ.get("CHAOS_CODEC", "0") == "1"
-
-#: CHAOS_COMPRESSION=1 re-runs every scenario with the opt-in data-plane
-#: v3 layer (intra-batch delta frames, zlib bulk transfers and
-#: load-weighted shard placement); compression implies the codec, and
-#: every crash/recovery invariant must hold identically.
-COMPRESSION = os.environ.get("CHAOS_COMPRESSION", "0") == "1"
+from tests.chaos.flags import RUNTIME_FLAGS, SEED
 
 ROLES = ["lock", "light", "camera"]
 
@@ -58,12 +47,7 @@ def token_device(translator_id, role, state):
 
 
 def build(extra_hosts=()):
-    kwargs = dict(
-        saga_enabled=True,
-        batching_enabled=BATCHING,
-        sharding_enabled=SHARDED,
-        codec_enabled=CODEC, compression_enabled=COMPRESSION,
-    )
+    kwargs = dict(RUNTIME_FLAGS, saga_enabled=True)
     hosts = ["h1", "h2", "h3", "h4"] + list(extra_hosts)
     bed = build_testbed(hosts=hosts)
     coordinator = bed.add_runtime("h1", **kwargs)

@@ -1,13 +1,12 @@
 """Seeded chaos soak: a randomized fault schedule against the full stack.
 
-CI runs this module across a matrix of seeds (``CHAOS_SEED``); any integer
-seed must leave the system in a sane steady state once the faults stop --
-the health machinery may degrade, quarantine, open breakers and fail
-bindings over mid-storm, but after the storm every surviving runtime's
-directory converges, breakers close again, and traffic flows.
+CI runs this module across a matrix of seeds and flags (see
+:mod:`tests.chaos.flags`); any integer seed must leave the system in a
+sane steady state once the faults stop -- the health machinery may
+degrade, quarantine, open breakers and fail bindings over mid-storm, but
+after the storm every surviving runtime's directory converges, breakers
+close again, and traffic flows.
 """
-
-import os
 
 from repro.chaos import RecoveryReport, random_plan
 from repro.core.errors import ShardUnavailable
@@ -17,44 +16,15 @@ from repro.core.query import Query
 from repro.core.translator import Translator
 from repro.testbed import build_testbed
 
-SEED = int(os.environ.get("CHAOS_SEED", "7"))
-#: CHAOS_LOSE_STATE=1 turns every drawn runtime crash into a cold crash
-#: (in-memory state lost, healed via write-ahead-journal recovery) while
-#: keeping the fault *schedule* identical -- the soak invariants must hold
-#: either way.
-LOSE_STATE = os.environ.get("CHAOS_LOSE_STATE", "0") == "1"
-#: CHAOS_BATCHING=1 runs the identical storm through the batched +
-#: pipelined peer senders; the calm-down invariants must hold either way.
-BATCHING = os.environ.get("CHAOS_BATCHING", "0") == "1"
+from tests.chaos.flags import (
+    LOSE_STATE,
+    REPLICATION,
+    RUNTIME_FLAGS,
+    SAGA,
+    SEED,
+    SHARDED,
+)
 
-#: CHAOS_SHARDED=1 runs the identical storm through the rendezvous-
-#: sharded directory (routed lookups, interest-scoped gossip); every
-#: post-storm invariant must hold identically in both modes.
-SHARDED = os.environ.get("CHAOS_SHARDED", "0") == "1"
-
-#: CHAOS_CODEC=1 re-runs every scenario with the binary wire codec +
-#: load-adaptive batching active on every runtime (binary envelopes,
-#: batch frames, gossip bodies, and WAL record bodies).
-CODEC = os.environ.get("CHAOS_CODEC", "0") == "1"
-
-#: CHAOS_COMPRESSION=1 re-runs every scenario with the opt-in data-plane
-#: v3 layer (intra-batch delta frames, zlib bulk transfers and
-#: load-weighted shard placement); compression implies the codec, and
-#: every crash/recovery invariant must hold identically.
-COMPRESSION = os.environ.get("CHAOS_COMPRESSION", "0") == "1"
-
-#: CHAOS_SAGA=1 runs the identical storm with the saga manager enabled on
-#: every runtime (an idle manager journals nothing, so the base soak and
-#: its replay stay byte-identical); the saga-mix workload test below runs
-#: always, with crashes turned cold by CHAOS_LOSE_STATE as usual.
-SAGA = os.environ.get("CHAOS_SAGA", "0") == "1"
-
-#: CHAOS_REPLICATION=1 re-runs the storm with replicated shard slices
-#: (replication_factor=2 on every runtime): epoch-fenced replica pushes,
-#: degraded reads and warm handoff ingest ride the identical schedule,
-#: and every post-storm invariant must still hold.  Only meaningful
-#: together with CHAOS_SHARDED=1 (a flat directory ignores the factor).
-REPLICATION = os.environ.get("CHAOS_REPLICATION", "0") == "1"
 STORM_HORIZON = 60.0
 # Lease (15 s) + announce interval + breaker reopen max (60 s) with slack.
 CALM_DOWN = 90.0
@@ -64,11 +34,7 @@ def build_soak():
     """Three runtimes, a failover binding, and a steady sender."""
     bed = build_testbed(hosts=["h1", "h2", "h3"])
     kwargs = dict(
-        batching_enabled=BATCHING,
-        sharding_enabled=SHARDED,
-        codec_enabled=CODEC, compression_enabled=COMPRESSION,
-        saga_enabled=SAGA,
-        replication_factor=2 if REPLICATION else 1,
+        RUNTIME_FLAGS, saga_enabled=SAGA, replication_factor=2 if REPLICATION else 1
     )
     r1 = bed.add_runtime("h1", **kwargs)
     r2 = bed.add_runtime("h2", **kwargs)
@@ -273,11 +239,7 @@ class TestSagaSoak:
         on exactly one -- and the directories are index-consistent."""
         bed = build_testbed(hosts=["h1", "h2", "h3"])
         kwargs = dict(
-            batching_enabled=BATCHING,
-            sharding_enabled=SHARDED,
-            codec_enabled=CODEC, compression_enabled=COMPRESSION,
-            saga_enabled=True,
-            replication_factor=2 if REPLICATION else 1,
+            RUNTIME_FLAGS, saga_enabled=True, replication_factor=2 if REPLICATION else 1
         )
         r1 = bed.add_runtime("h1", **kwargs)
         r2 = bed.add_runtime("h2", **kwargs)

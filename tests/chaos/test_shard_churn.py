@@ -11,7 +11,6 @@ hash to -- so any node's routed lookup finds everything.
 """
 
 import json
-import os
 import random
 
 import pytest
@@ -25,19 +24,9 @@ from repro.core.replica import slice_digest
 from repro.core.translator import Translator
 from repro.testbed import build_testbed
 
+from tests.chaos.flags import DATA_PLANE_FLAGS, REPLICATION
 from tests.core.test_directory_index import random_profile
 
-#: CHAOS_REPLICATION=1 runs the partition-oracle churn with replicated
-#: shard slices (replication_factor=2); the convergence invariants must
-#: hold either way -- replication only changes availability *during* the
-#: partition, never the converged outcome.
-REPLICATION = os.environ.get("CHAOS_REPLICATION", "0") == "1"
-
-#: CHAOS_COMPRESSION=1 re-runs every scenario with the opt-in data-plane
-#: v3 layer (intra-batch delta frames, zlib bulk transfers and
-#: load-weighted shard placement); compression implies the codec, and
-#: every crash/recovery invariant must hold identically.
-COMPRESSION = os.environ.get("CHAOS_COMPRESSION", "0") == "1"
 
 
 def assert_placement_invariant(cluster):
@@ -103,7 +92,7 @@ class TestOwnershipChurn:
     def test_join_then_leave_rebalances_without_loss(self):
         bed = build_testbed(hosts=["h1", "h2", "h3"])
         cluster = [
-            bed.add_runtime(h, sharding_enabled=True, compression_enabled=COMPRESSION)
+            bed.add_runtime(h, sharding_enabled=True, **DATA_PLANE_FLAGS)
             for h in ("h1", "h2", "h3")
         ]
         rng = random.Random(61)
@@ -118,7 +107,7 @@ class TestOwnershipChurn:
 
         # Join: a fourth owner takes over its rendezvous share; the three
         # incumbents each lose only the shards the newcomer now wins.
-        joined = bed.add_runtime("h4", sharding_enabled=True, compression_enabled=COMPRESSION)
+        joined = bed.add_runtime("h4", sharding_enabled=True, **DATA_PLANE_FLAGS)
         cluster.append(joined)
         bed.settle(LEASE + 5.0)
         assert all(r.shards.map.version > v for r, v in zip(cluster, versions))
@@ -145,7 +134,7 @@ class TestOwnershipChurn:
     def test_owner_crash_mid_registration_self_heals(self):
         bed = build_testbed(hosts=["h1", "h2", "h3"])
         r1, r2, r3 = (
-            bed.add_runtime(h, sharding_enabled=True, compression_enabled=COMPRESSION)
+            bed.add_runtime(h, sharding_enabled=True, **DATA_PLANE_FLAGS)
             for h in ("h1", "h2", "h3")
         )
         bed.settle(2.0)
@@ -186,7 +175,7 @@ class TestStandingQueryContinuity:
     def test_binding_and_subscription_survive_owner_crash(self):
         bed = build_testbed(hosts=["h1", "h2", "h3"])
         r1, r2, r3 = (
-            bed.add_runtime(h, sharding_enabled=True, compression_enabled=COMPRESSION)
+            bed.add_runtime(h, sharding_enabled=True, **DATA_PLANE_FLAGS)
             for h in ("h1", "h2", "h3")
         )
         bed.settle(2.0)
@@ -249,7 +238,7 @@ def shard_state(runtime):
 class TestByteEquivalentRecovery:
     def test_single_node_slice_restored_verbatim(self):
         bed = build_testbed(hosts=["h1"])
-        r1 = bed.add_runtime("h1", sharding_enabled=True, compression_enabled=COMPRESSION)
+        r1 = bed.add_runtime("h1", sharding_enabled=True, **DATA_PLANE_FLAGS)
         roles = ["display", "storage", "printer", "sensor"]
         mimes = ["text/plain", "image/jpeg", "audio/wav"]
         for index in range(8):
@@ -277,7 +266,7 @@ class TestByteEquivalentRecovery:
     def test_multi_node_slice_restored_after_reconvergence(self):
         bed = build_testbed(hosts=["h1", "h2", "h3"])
         cluster = [
-            bed.add_runtime(h, sharding_enabled=True, compression_enabled=COMPRESSION)
+            bed.add_runtime(h, sharding_enabled=True, **DATA_PLANE_FLAGS)
             for h in ("h1", "h2", "h3")
         ]
         rng = random.Random(63)
@@ -314,7 +303,7 @@ class TestPartitionOracle:
         factor = 2 if REPLICATION else 1
         cluster = [
             bed.add_runtime(
-                h, sharding_enabled=True, compression_enabled=COMPRESSION, replication_factor=factor
+                h, sharding_enabled=True, **DATA_PLANE_FLAGS, replication_factor=factor
             )
             for h in hosts
         ]

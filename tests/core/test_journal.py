@@ -303,6 +303,43 @@ class TestReplaySemantics:
         state = self.apply(("future-kind", {"anything": True}))
         assert state.registered == {} and state.applied_records == 0
 
+    def test_retired_codec_negotiation_records_replay_ignored(self):
+        """Blobs from when the transport negotiated the codec per peer hold
+        ``codec-ready``/``codec-z-ready`` records and checkpoints carrying
+        ``codec_peers``/``codec_z_peers``.  Cold recovery replays such a
+        blob with those entries ignored, and its checkpoint drops them."""
+        checkpoint = {
+            "registered": {},
+            "bindings": {},
+            "paths": {},
+            "spool": {},
+            "stream_seqs": {"ctl:rt-h2": 67},
+            "breakers": {},
+        }
+        old = [
+            (
+                "checkpoint",
+                dict(checkpoint, codec_peers=["rt-h2"], codec_z_peers=["rt-h2"]),
+            ),
+            ("codec-ready", {"peer": "rt-h3"}),
+            ("codec-z-ready", {"peer": "rt-h3"}),
+            ("seq-reserve", {"stream": "ctl:rt-h3", "upto": 65}),
+        ]
+        bed = build_testbed(hosts=["h1"])
+        blob = durable_media(bed.network).blob("rt-h1")
+        for lsn, (kind, data) in enumerate(old, start=1):
+            blob.extend(encode_record(lsn, kind, data, binary=True))
+        replayed = self.apply(*((r["kind"], r["data"]) for r in records_of(blob)))
+        assert vars(replayed) == vars(self.apply(("checkpoint", checkpoint), old[3]))
+        runtime = bed.add_runtime("h1", codec_enabled=True)
+        runtime.crash(lose_state=True)
+        runtime.recover()
+        records = records_of(runtime.journal.blob)
+        assert [r["kind"] for r in records] == ["checkpoint"]
+        data = records[0]["data"]
+        assert data["stream_seqs"] == {"ctl:rt-h2": 67, "ctl:rt-h3": 65}
+        assert "codec_peers" not in data and "codec_z_peers" not in data
+
 
 class TestAmortizedSpoolRecords:
     """`append_spool` folding and the batched replay kinds it produces."""
