@@ -53,9 +53,9 @@ def sink_device(translator_id, role, refuse_prefix=None):
 
 def build():
     bed = build_testbed(hosts=["h1", "h2", "h3"])
-    r1 = bed.add_runtime("h1", saga_enabled=True)
-    r2 = bed.add_runtime("h2", saga_enabled=True)
-    r3 = bed.add_runtime("h3", saga_enabled=True)
+    r1 = bed.add_runtime("h1")
+    r2 = bed.add_runtime("h2")
+    r3 = bed.add_runtime("h3")
     r2.register_translator(sink_device("lock-dev", "lock"))
     r3.register_translator(sink_device("light-dev", "light"))
     # The last saga step targets the camera; "!" payloads make it refuse

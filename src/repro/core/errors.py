@@ -100,7 +100,6 @@ class ShardUnavailable(DirectoryError):
         shard: the virtual shard that could not be served.
         owner: the shard's primary owner under the caller's map (``None``
             before any membership view converged).
-        epoch: the caller's ownership epoch when the lookup failed.
         retryable: True when the failure is transient (owner expected to
             heal or hand off within a lease) -- currently always True.
     """
@@ -109,17 +108,14 @@ class ShardUnavailable(DirectoryError):
         self,
         shard: int,
         owner: "str | None" = None,
-        epoch: int = 0,
         retryable: bool = True,
     ):
         self.shard = shard
         self.owner = owner
-        self.epoch = epoch
         self.retryable = retryable
         label = f"shard {shard} unavailable"
         if owner is not None:
             label += f" (primary {owner!r} unreachable)"
-        label += f" [epoch {epoch}]"
         super().__init__(label)
 
 

@@ -242,10 +242,7 @@ class RecoveredState:
     shard_entries: Dict[str, dict] = field(default_factory=dict)
     #: shard ids this node owned at its last ownership transition.
     shard_owned: List[int] = field(default_factory=list)
-    #: this node's monotonic ownership epoch (quorum-gated bumps,
-    #: replication only).
-    shard_epoch: int = 0
-    #: str(shard) -> {"epoch", "entries": {translator_id: profile dict}}
+    #: str(shard) -> {"entries": {translator_id: profile dict}}
     #: for the passive replica slices this node holds for its peers.
     replica_slices: Dict[str, dict] = field(default_factory=dict)
     #: saga_id -> folded saga progress (see ``_apply``'s saga-* kinds):
@@ -501,8 +498,6 @@ class Journal:
             data["shard_entries"] = mirror.shard_entries
         if mirror.shard_owned:
             data["shard_owned"] = mirror.shard_owned
-        if mirror.shard_epoch:
-            data["shard_epoch"] = mirror.shard_epoch
         if mirror.replica_slices:
             data["replica_slices"] = mirror.replica_slices
         # Same discipline for saga state: the fields appear only once
@@ -632,11 +627,9 @@ class Journal:
                     del state.shard_entries[translator_id]
         elif kind == "shard-own":
             state.shard_owned = list(data["owned"])
-        elif kind == "shard-epoch":
-            state.shard_epoch = int(data["epoch"])
         elif kind == "shard-replica":
             slice_ = state.replica_slices.setdefault(
-                str(data["shard"]), {"epoch": 0, "entries": {}}
+                str(data["shard"]), {"entries": {}}
             )
             if data.get("full"):
                 slice_["entries"] = {}
@@ -644,9 +637,6 @@ class Journal:
                 slice_["entries"][profile["translator_id"]] = dict(profile)
             for translator_id in data.get("removed", ()):
                 slice_["entries"].pop(translator_id, None)
-            slice_["epoch"] = max(
-                int(slice_["epoch"]), int(data.get("epoch", 0))
-            )
         elif kind == "shard-promote":
             # Warm-ingest promotion: the promoted profiles are already in
             # the journal as shard-replica slice content, so the record
@@ -772,10 +762,8 @@ class Journal:
                 for key, value in data.get("shard_entries", {}).items()
             }
             state.shard_owned = list(data.get("shard_owned", ()))
-            state.shard_epoch = int(data.get("shard_epoch", 0))
             state.replica_slices = {
                 key: {
-                    "epoch": int(value.get("epoch", 0)),
                     "entries": {
                         translator_id: dict(profile)
                         for translator_id, profile in value["entries"].items()
@@ -803,7 +791,8 @@ class Journal:
             else:
                 state.breakers[data["peer"]] = data
         # Unknown kinds are ignored: forward-compatible replay (older blobs
-        # also carry the retired codec-negotiation kinds).
+        # also carry the retired codec-negotiation and ownership-epoch
+        # kinds).
 
     @staticmethod
     def _apply_spool_entry(

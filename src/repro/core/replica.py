@@ -1,4 +1,4 @@
-"""Replicated shard slices with epoch-fenced ownership.
+"""Replicated shard slices behind an owner-anchored fence.
 
 The sharded directory (:mod:`repro.core.shard`) single-homes each
 ``(axis, value)`` slice on one rendezvous-hashed owner: an owner crash or
@@ -13,21 +13,14 @@ top, gated on ``UMiddleRuntime(replication_factor=...)``:
   no new coordination: every node derives the identical replica sets
   from the identical membership view.
 - **ReplicaStore** -- the passive side: per-shard profile slices with the
-  epoch that last wrote them and the simulated time of the last accepted
-  sync (the bounded-staleness marker degraded reads report).
-- **Epoch fencing** -- ownership carries a monotonic per-node epoch,
-  journaled as ``shard-epoch`` records.  A node only advances its epoch
-  on an ownership transition whose membership view retains a majority of
-  the previous view (:func:`has_quorum`), so a primary deposed into a
-  minority keeps its stale epoch.  Every replica-plane frame is stamped
-  with the sender's epoch; receivers reject (fence) any frame whose
-  sender is not the shard's current primary under their own membership
-  view -- the view is the authority anchor, because per-node epoch
-  counters have incomparable histories -- so a deposed primary can never
-  resurrect reaped state.  The stamped epoch is journaled with every
-  accepted slice, reported back in digest replies (the deposed primary's
-  stand-down signal) and carried on fencing traces and
-  :class:`~repro.core.errors.ShardUnavailable`.
+  simulated time of the last accepted sync (the bounded-staleness marker
+  degraded reads report).
+- **Owner fencing** -- a replica applies a replica-plane frame (slice
+  push, full sync or digest) only when its sender owns the shard under
+  the replica's own membership view, the authority anchor used
+  everywhere else in the directory.  Anything else is dropped and
+  counted in ``fenced_frames``, so a primary deposed into a minority
+  partition can never resurrect reaped state after heal.
 - **Anti-entropy** -- on every membership change the primary sends its
   replicas a per-shard ``(count, digest)`` summary; a replica answers
   with the shards whose slice digest mismatches and the primary re-syncs
@@ -56,7 +49,6 @@ __all__ = [
     "ReplicaStore",
     "replicas_of",
     "slice_digest",
-    "has_quorum",
 ]
 
 
@@ -72,20 +64,6 @@ def replicas_of(
     return ranked[1:replication_factor]
 
 
-def has_quorum(view_size: int, previous_size: int) -> bool:
-    """True when a membership view of ``view_size`` retains a strict
-    majority of the ``previous_size``-member view it replaced.
-
-    This is the epoch-advance gate: the majority side of a partition
-    advances its ownership epoch (its writes fence out the minority's),
-    while a primary deposed into a minority keeps its stale epoch.  An
-    exact even split advances neither side; divergence across such a
-    split is repaired by origin re-push and anti-entropy on heal rather
-    than by fencing.
-    """
-    return view_size * 2 > previous_size
-
-
 def slice_digest(entries: Dict[str, TranslatorProfile]) -> str:
     """Order-insensitive digest of one shard slice's content, compared
     between primary and replica during anti-entropy."""
@@ -99,15 +77,12 @@ def slice_digest(entries: Dict[str, TranslatorProfile]) -> str:
 
 
 class ReplicaSlice:
-    """One shard's passive replica: content plus fencing/staleness state."""
+    """One shard's passive replica: content plus staleness state."""
 
-    __slots__ = ("shard", "epoch", "synced_at", "entries")
+    __slots__ = ("shard", "synced_at", "entries")
 
-    def __init__(self, shard: int, epoch: int = 0, synced_at: float = 0.0):
+    def __init__(self, shard: int, synced_at: float = 0.0):
         self.shard = shard
-        #: Highest ownership epoch whose primary wrote this slice; frames
-        #: stamped with a lower epoch are fenced out.
-        self.epoch = epoch
         #: Simulated time of the last accepted sync from the primary: the
         #: bound a degraded read reports as its staleness marker.
         self.synced_at = synced_at
@@ -165,16 +140,11 @@ class ReplicaStore:
     def get(self, shard: int) -> Optional[ReplicaSlice]:
         return self._slices.get(shard)
 
-    def epoch_of(self, shard: int) -> int:
-        slice_ = self._slices.get(shard)
-        return slice_.epoch if slice_ is not None else 0
-
     def snapshot(self) -> Dict[str, dict]:
         """Canonical JSON-serializable content (recovery equivalence).
         Shard keys are strings so the blob round-trips through JSON."""
         return {
             str(shard): {
-                "epoch": slice_.epoch,
                 "entries": {
                     tid: slice_.entries[tid].to_dict()
                     for tid in sorted(slice_.entries)
@@ -196,48 +166,28 @@ class ReplicaStore:
         self,
         shard: int,
         profiles: Iterable[TranslatorProfile],
-        epoch: int,
         now: float,
         full: bool = False,
-        force: bool = False,
-    ) -> bool:
+    ) -> None:
         """Merge (or, with ``full``, replace with) the pushed profiles.
-        Returns False when the push is fenced out by a higher epoch
-        already recorded for the slice; ``force`` skips that comparison
-        (the router passes it for pushes from the shard's *current* map
-        owner, whose authority comes from the membership view -- epochs
-        are per-node counters, so a legitimately elected primary may
-        well carry fewer bumps than its predecessor)."""
-        slice_ = self._slices.get(shard)
-        if not force and slice_ is not None and epoch < slice_.epoch:
-            return False
+        Fencing is the caller's job (:meth:`ShardRouter._handle_replica`
+        admits only frames from the shard's current map owner)."""
         slice_ = self._slice(shard)
         if full:
             slice_.entries.clear()
         for profile in profiles:
             slice_.entries[profile.translator_id] = profile
-        slice_.epoch = max(slice_.epoch, epoch)
         slice_.synced_at = now
-        return True
 
     def apply_remove(
-        self,
-        shard: int,
-        translator_ids: Iterable[str],
-        epoch: int,
-        now: float,
-        force: bool = False,
-    ) -> bool:
+        self, shard: int, translator_ids: Iterable[str], now: float
+    ) -> None:
         slice_ = self._slices.get(shard)
         if slice_ is None:
-            return True  # nothing to remove: vacuously applied
-        if not force and epoch < slice_.epoch:
-            return False
+            return  # nothing to remove
         for translator_id in translator_ids:
             slice_.entries.pop(translator_id, None)
-        slice_.epoch = max(slice_.epoch, epoch)
         slice_.synced_at = now
-        return True
 
     def drop(self, shard: int) -> bool:
         return self._slices.pop(shard, None) is not None

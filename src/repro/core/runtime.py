@@ -63,7 +63,6 @@ class UMiddleRuntime:
         replication_factor: int = 1,
         codec_enabled: bool = False,
         compression_enabled: bool = False,
-        saga_enabled: bool = False,
     ):
         self.node = node
         self.kernel: Kernel = node.network.kernel
@@ -122,7 +121,8 @@ class UMiddleRuntime:
         #: ``replication_factor`` > 1 additionally places each virtual
         #: shard on the top-R ranked owners: rank 0 stays the
         #: authoritative primary, ranks 1..R-1 hold passive replica
-        #: slices serving epoch-fenced degraded reads and warm handoff
+        #: slices, written only by the shard's owner in the replica's
+        #: membership view, serving degraded reads and warm handoff
         #: ingest (:mod:`repro.core.replica`).  The default (1)
         #: reproduces the single-homed sharded directory byte for byte.
         self.shards = ShardRouter(
@@ -134,9 +134,7 @@ class UMiddleRuntime:
         self.directory = Directory(self, port=directory_port)
         self.transport = Transport(self, port=transport_port)
         #: Journaled saga coordinator/participant (:mod:`repro.core.saga`).
-        #: Off by default -- a disabled manager refuses `connect_saga` and
-        #: keeps wire and journal bytes identical to a saga-free build.
-        self.sagas = SagaManager(self, enabled=saga_enabled)
+        self.sagas = SagaManager(self)
         self.mappers: List = []
         self.translators: Dict[str, Translator] = {}
         self._bindings: List[DynamicBinding] = []
@@ -516,7 +514,7 @@ class UMiddleRuntime:
         failover) or a pinned :class:`~repro.core.profile.PortRef`.  Either
         every step's effect applies, or every applied effect is
         compensated -- never half, across warm/cold crashes and owner
-        failover.  Requires ``saga_enabled=True``.
+        failover.
         """
         return _connect_saga(
             self, actions, timeout_s=timeout_s, max_attempts=max_attempts

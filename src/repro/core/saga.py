@@ -68,7 +68,7 @@ boundary (``tests/chaos/test_saga_boundaries.py``) to prove the matrix.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Generator, List, Optional, Set, Tuple, TYPE_CHECKING
 
 from repro.core.errors import (
@@ -270,15 +270,13 @@ class Saga:
 class SagaManager:
     """One runtime's saga coordinator *and* participant.
 
-    Lives at ``runtime.sagas``.  ``enabled=False`` (the default) keeps the
-    manager inert: ``begin`` raises, inbound saga envelopes are refused,
-    and nothing saga-shaped ever reaches the journal -- wire and journal
-    bytes stay identical to a build without this module.
+    Lives at ``runtime.sagas``.  An idle manager writes nothing to the
+    wire or the journal: saga traffic exists only once a caller begins a
+    saga (:meth:`UMiddleRuntime.connect_saga`).
     """
 
-    def __init__(self, runtime: "UMiddleRuntime", enabled: bool = False):
+    def __init__(self, runtime: "UMiddleRuntime"):
         self.runtime = runtime
-        self.enabled = enabled
         #: Unfinished sagas this runtime coordinates, by saga_id.
         self._active: Dict[str, Saga] = {}
         #: saga_id -> terminal status, for post-completion inspection
@@ -356,10 +354,6 @@ class SagaManager:
         is durable before the first step starts, so recovery re-drives
         from the journal alone.
         """
-        if not self.enabled:
-            raise SagaError(
-                "sagas are disabled on this runtime (saga_enabled=False)"
-            )
         if self.runtime.crashed:
             raise SagaError("cannot begin a saga on a crashed runtime")
         if not steps:
@@ -870,19 +864,6 @@ class SagaManager:
         origin = envelope.get("origin")
         if origin is None:
             return
-        if not self.enabled:
-            # Refuse loudly instead of timing out: the coordinator treats
-            # this as terminal and compensates rather than hanging.
-            self._reply(
-                origin,
-                envelope,
-                _Outcome(
-                    ok=False,
-                    retryable=False,
-                    detail=f"sagas disabled on {self.runtime.runtime_id}",
-                ),
-            )
-            return
         self._apply_procs = {p for p in self._apply_procs if p.is_alive}
         self._apply_procs.add(
             self.runtime.kernel.process(
@@ -1048,8 +1029,6 @@ class SagaManager:
         """Warm restart: respawn a driver for every unfinished saga.  The
         re-driven step burns a fresh attempt number; participant reply
         caches make the re-drive idempotent."""
-        if not self.enabled:
-            return
         self._suspended = False
         for saga in list(self._active.values()):
             if saga.saga_id not in self._drivers:
@@ -1059,8 +1038,6 @@ class SagaManager:
         """Cold restart: rebuild unfinished sagas and the participant
         reply cache from the journal mirror.  Drivers are respawned by
         :meth:`resume` once the transport is back up."""
-        if not self.enabled:
-            return
         self._applied = {
             key: {"seq": entry["seq"]}
             for key, entry in state.saga_applied.items()

@@ -51,10 +51,11 @@ whose primary is unreachable or quarantined fail over to the replicas as
 explicitly-traced degraded reads with a bounded-staleness marker, and a
 lookup no holder can serve raises the structured
 :class:`~repro.core.errors.ShardUnavailable` instead of returning a
-silently-partial result.  Ownership carries a monotonic, quorum-gated
-epoch (``shard-epoch`` records); every replica-plane frame is fenced by
-it, so a primary deposed into a minority partition can never resurrect
-reaped state after heal.
+silently-partial result.  A replica applies a replica-plane frame only
+when its sender owns the shard under the replica's own membership view,
+so a primary deposed into a minority partition can never resurrect
+reaped state after heal; anti-entropy digests and origin re-push settle
+slice content once the views agree again.
 
 The whole layer is gated on ``UMiddleRuntime(sharding_enabled=...)``;
 off (the default) reproduces the flat-replica directory byte for byte,
@@ -84,7 +85,6 @@ from repro.core.profile import TranslatorProfile
 from repro.core.query import Query
 from repro.core.replica import (
     ReplicaStore,
-    has_quorum,
     replicas_of,
     slice_digest,
 )
@@ -602,11 +602,6 @@ class ShardRouter:
         self.replication_factor = max(1, int(replication_factor))
         #: Passive slices this node holds for shards it does not own.
         self.replicas = ReplicaStore()
-        #: This node's monotonic ownership epoch (quorum-gated bumps,
-        #: journaled as ``shard-epoch``); 0 until the first owned view.
-        self.epoch = 0
-        #: shard -> highest epoch accepted on the replica plane (fencing).
-        self._shard_epochs: Dict[int, int] = {}
         #: owned shard -> replica peers last synced (route bookkeeping).
         self._replica_routes: Dict[int, Tuple[str, ...]] = {}
         #: origin -> {translator_id: promoted_at} for warm-ingested
@@ -699,7 +694,7 @@ class ShardRouter:
     @property
     def replicated(self) -> bool:
         """True when the replica tier is active.  Every replica-plane
-        journal record, wire frame and epoch bump is gated on this, so
+        journal record and wire frame is gated on this, so
         ``replication_factor=1`` stays byte-for-byte the PR 6 path."""
         return self.replication_factor > 1
 
@@ -888,18 +883,15 @@ class ShardRouter:
         self._lost_origins.clear()
         self.replicas.clear()
         self._replica_routes.clear()
-        self._shard_epochs.clear()
         self._provisional.clear()
-        self.epoch = 0
         self._peer_loads.clear()
         self.weight_epoch = 0
         self._last_weight_change = 0.0
         self.map.set_load({})
 
     def recover(self, state: "RecoveredState") -> None:
-        """Rebuild the owned shards (and any replica slices plus the
-        ownership epoch) from the replayed journal (called by cold
-        recovery with appends muted)."""
+        """Rebuild the owned shards (and any replica slices) from the
+        replayed journal (called by cold recovery with appends muted)."""
         if not self.enabled:
             return
         if self.weighted and state.shard_weights:
@@ -921,18 +913,12 @@ class ShardRouter:
             profile = TranslatorProfile.from_dict(entry["profile"])
             self.store.store(profile, entry["shards"])
         self._owned = frozenset(state.shard_owned)
-        self.epoch = state.shard_epoch
         for shard_key, data in state.replica_slices.items():
-            shard = int(shard_key)
             profiles = [
                 TranslatorProfile.from_dict(profile)
                 for profile in data["entries"].values()
             ]
-            epoch = int(data.get("epoch", 0))
-            self.replicas.apply_store(shard, profiles, epoch, 0.0, full=True)
-            self._shard_epochs[shard] = max(
-                self._shard_epochs.get(shard, 0), epoch
-            )
+            self.replicas.apply_store(int(shard_key), profiles, 0.0, full=True)
 
     def seed_members(self, members: Iterable[str]) -> None:
         """Offline/bench hook: activate with an explicit membership view
@@ -954,7 +940,6 @@ class ShardRouter:
             return
         members = set(self.directory._runtimes)
         members.add(self.runtime_id)
-        previous_members = self.map.members
         changed = self.map.rebuild(members)
         if not changed and not force:
             return
@@ -965,17 +950,6 @@ class ShardRouter:
             self.runtime.journal.append(
                 "shard-own", {"owned": sorted(self._owned)}
             )
-            if self.replicated and has_quorum(
-                len(self.map.members), len(previous_members)
-            ):
-                # Quorum-gated epoch advance: the majority side of any
-                # split bumps and its replica-plane writes fence out the
-                # deposed minority's; a primary partitioned into a
-                # minority keeps its stale epoch.
-                self.epoch += 1
-                self.runtime.journal.append(
-                    "shard-epoch", {"epoch": self.epoch}
-                )
             # Shards we held and conclusively lost drop right away (their
             # new owner is being pushed the same profiles by every
             # origin); sender-directed placements we never owned are aged
@@ -1001,10 +975,6 @@ class ShardRouter:
                     owned=len(self._owned),
                 )
             if self.replicated:
-                for shard in self._owned:
-                    self._shard_epochs[shard] = max(
-                        self._shard_epochs.get(shard, 0), self.epoch
-                    )
                 self._warm_ingest(self._owned - old_owned)
         self._cache.clear()
         if self.replicated:
@@ -1156,12 +1126,11 @@ class ShardRouter:
 
     def _sync_replicas(self) -> None:
         """Primary-side anti-entropy: send every replica of every owned
-        shard a ``(count, digest)`` summary stamped with our epoch.  A
-        replica answers with the shards whose slice digest mismatches
-        (a brand-new replica's empty slice always does) and
-        :meth:`_handle_digest_reply` full-syncs exactly those -- one
-        exchange covering bootstrap, partition-heal reconciliation and
-        divergence repair."""
+        shard a ``(count, digest)`` summary.  A replica answers with the
+        shards whose slice digest mismatches (a brand-new replica's empty
+        slice always does) and :meth:`_handle_digest_reply` full-syncs
+        exactly those -- one exchange covering bootstrap, partition-heal
+        reconciliation and divergence repair."""
         per_peer: Dict[str, Dict[str, list]] = {}
         for shard in self._owned:
             peers = tuple(
@@ -1183,7 +1152,6 @@ class ShardRouter:
             payload = {
                 "kind": "umiddle-shard-digest",
                 "origin": self.runtime_id,
-                "epoch": self.epoch,
                 "shards": shards,
             }
             self._send(payload, 64 + 56 * len(shards), peer)
@@ -1218,7 +1186,6 @@ class ShardRouter:
             payload = {
                 "kind": "umiddle-shard-digest",
                 "origin": self.runtime_id,
-                "epoch": self.epoch,
                 "shards": shards,
             }
             self._send(payload, 64 + 56 * len(shards), primary)
@@ -1509,9 +1476,9 @@ class ShardRouter:
         full: bool = False,
     ) -> None:
         """Stream freshly-admitted profiles of owned shards to their
-        ranked replicas, stamped with the current ownership epoch.  The
-        push piggybacks on the existing unicast shard plane (same port,
-        same framing discipline as placement and delta traffic)."""
+        ranked replicas.  The push piggybacks on the existing unicast
+        shard plane (same port, same framing discipline as placement and
+        delta traffic)."""
         if not self.replicated or not per_shard:
             return
         per_peer: Dict[str, Dict[str, dict]] = {}
@@ -1564,7 +1531,6 @@ class ShardRouter:
             payload = {
                 "kind": "umiddle-shard-replica",
                 "origin": self.runtime_id,
-                "epoch": self.epoch,
                 "slices": slices,
             }
             size = 64
@@ -1857,9 +1823,7 @@ class ShardRouter:
                         f"serves {route_key[0]}={route_key[1]}",
                         shard=failed_shard,
                     )
-                raise ShardUnavailable(
-                    failed_shard, failed_owner, self.epoch
-                )
+                raise ShardUnavailable(failed_shard, failed_owner)
             for profile in cached[1]:
                 merged.setdefault(profile.translator_id, profile)
         bucket = tuple(merged.values())
@@ -2000,36 +1964,21 @@ class ShardRouter:
         """Replica side of the primary's slice stream: apply each pushed
         slice unless the sender is not the shard's current primary under
         this receiver's membership view -- the fence that keeps a deposed
-        primary from resurrecting reaped state.
-
-        The fence is anchored on the map owner rather than on a bare
-        epoch comparison because epochs are per-node counters with
-        incomparable histories: a deposed primary may carry *more* bumps
-        than the replica's recorded fence (it saw more ownership churn
-        before the partition) and a legitimately elected late joiner may
-        carry fewer.  The membership view is the authority anchor used
-        everywhere else in the directory, so it is the authority anchor
-        here too; the stamped epoch is journaled with every accepted
-        slice, reported back in digest replies (the deposed primary's
-        stand-down signal) and surfaced in fencing traces."""
+        primary from resurrecting reaped state.  The membership view is
+        the authority anchor used everywhere else in the directory, so it
+        is the authority anchor here too."""
         self.replica_pushes_received += 1
-        epoch = int(payload.get("epoch", 0))
         now = self.runtime.kernel.now
         for shard_key, entry in (payload.get("slices") or {}).items():
             shard = int(shard_key)
             if self.map.owner(shard) != origin:
-                fence = max(
-                    self._shard_epochs.get(shard, 0),
-                    self.replicas.epoch_of(shard),
-                )
                 self.fenced_frames += 1
                 if self.runtime.tracing:
                     self.runtime.trace(
                         "shard.fenced",
                         f"push for shard {shard} from non-owner {origin} "
-                        f"rejected (epoch {epoch}, fence {fence})",
+                        "rejected",
                         shard=shard,
-                        epoch=epoch,
                     )
                 continue
             profile_dicts = entry.get("profiles") or []
@@ -2040,23 +1989,15 @@ class ShardRouter:
             ]
             removed = entry.get("removed") or []
             full = bool(entry.get("full"))
-            self.replicas.apply_store(
-                shard, profiles, epoch, now, full=full, force=True
-            )
+            self.replicas.apply_store(shard, profiles, now, full=full)
             if removed:
-                self.replicas.apply_remove(
-                    shard, removed, epoch, now, force=True
-                )
-            self._shard_epochs[shard] = max(
-                self._shard_epochs.get(shard, 0), epoch
-            )
+                self.replicas.apply_remove(shard, removed, now)
             self.runtime.journal.append(
                 "shard-replica",
                 {
                     "shard": shard,
                     "profiles": profile_dicts,
                     "removed": list(removed),
-                    "epoch": epoch,
                     "full": full,
                 },
             )
@@ -2066,8 +2007,7 @@ class ShardRouter:
 
         As a *replica* (the digested shard is owned by the sender):
         compare the primary's per-shard slice summaries with local slices
-        and answer with the shards whose content mismatches (plus the
-        fencing epochs a deposed sender should respect).
+        and answer with the shards whose content mismatches.
 
         As the *primary* (we own the digested shard and the sender is one
         of its replicas): compare the replica's summary against the
@@ -2075,10 +2015,8 @@ class ShardRouter:
         the pull path a rejoining replica needs -- its own restart never
         changes the primary's membership view (the lease never expired),
         so the primary-side push digest would never fire."""
-        epoch = int(payload.get("epoch", 0))
         mismatched = []
         stale_held = []
-        epochs: Dict[str, int] = {}
         for shard_key, summary in (payload.get("shards") or {}).items():
             shard = int(shard_key)
             count, digest = int(summary[0]), summary[1]
@@ -2098,14 +2036,9 @@ class ShardRouter:
             # Replica side.  Same owner-anchored fence as
             # _handle_replica: a digest from a sender that is not the
             # current map owner is a deposed primary's.  Refuse the
-            # exchange and report the recorded fence epoch instead of
-            # inviting a stale sync.
+            # exchange instead of inviting a stale sync.
             if self.map.owner(shard) != origin:
                 self.fenced_frames += 1
-                epochs[str(shard)] = max(
-                    self._shard_epochs.get(shard, 0),
-                    self.replicas.epoch_of(shard),
-                )
                 continue
             slice_ = self.replicas.get(shard)
             if slice_ is None:
@@ -2116,7 +2049,7 @@ class ShardRouter:
                 mismatched.append(shard)
         if stale_held:
             self._full_sync(origin, stale_held)
-        if not mismatched and not epochs:
+        if not mismatched:
             return
         self.digest_replies += 1
         self._send(
@@ -2124,27 +2057,19 @@ class ShardRouter:
                 "kind": "umiddle-shard-digest-reply",
                 "origin": self.runtime_id,
                 "shards": sorted(mismatched),
-                "epochs": epochs,
             },
-            64 + 8 * len(mismatched) + 12 * len(epochs),
+            64 + 8 * len(mismatched),
             origin,
         )
 
     def _handle_digest_reply(self, origin: str, payload: dict) -> None:
         """Primary side of anti-entropy: full-sync exactly the shards the
-        replica reported divergent -- unless the replica's recorded epoch
-        dominates ours, in which case we are the deposed primary and
-        stand down until the membership view (and a fresh quorum epoch)
-        catches up."""
-        epochs = payload.get("epochs") or {}
-        to_sync = []
-        for shard in payload.get("shards") or ():
-            shard = int(shard)
-            if shard not in self._owned:
-                continue
-            if int(epochs.get(str(shard), 0)) > self.epoch:
-                continue
-            to_sync.append(shard)
+        replica reported divergent that we still own."""
+        to_sync = [
+            int(shard)
+            for shard in payload.get("shards") or ()
+            if int(shard) in self._owned
+        ]
         self._full_sync(origin, to_sync)
 
     def _full_sync(self, peer: str, shards: List[int]) -> None:
@@ -2169,7 +2094,6 @@ class ShardRouter:
             {
                 "kind": "umiddle-shard-replica",
                 "origin": self.runtime_id,
-                "epoch": self.epoch,
                 "slices": slices,
             },
             size,

@@ -18,12 +18,10 @@ invariant must hold under each entry:
 - ``CHAOS_SHARDED=1`` puts the rendezvous-sharded directory in the loop
   (ownership handoff, routed lookups, interest-scoped gossip).
 - ``CHAOS_REPLICATION=1`` adds replicated shard slices
-  (``replication_factor=2``): epoch-fenced replica pushes, degraded reads
-  and warm handoff ingest.  Only meaningful together with
+  (``replication_factor=2``): owner-fenced replica pushes, degraded
+  reads and warm handoff ingest.  Only meaningful together with
   ``CHAOS_SHARDED=1``, except in the shard churn tests, which always
   shard.
-- ``CHAOS_SAGA=1`` enables the saga manager on every soak runtime (an
-  idle manager journals nothing, so the base soak stays byte-identical).
 """
 
 import os
@@ -37,7 +35,6 @@ if DATAPLANE not in DATAPLANES:
     raise ValueError(f"CHAOS_DATAPLANE must be one of {DATAPLANES}, got {DATAPLANE!r}")
 SHARDED = os.environ.get("CHAOS_SHARDED", "0") == "1"
 REPLICATION = os.environ.get("CHAOS_REPLICATION", "0") == "1"
-SAGA = os.environ.get("CHAOS_SAGA", "0") == "1"
 
 #: Runtime keyword arguments selecting the data plane.
 DATA_PLANE_FLAGS = {

@@ -47,11 +47,10 @@ def token_device(translator_id, role, state):
 
 
 def build(extra_hosts=()):
-    kwargs = dict(RUNTIME_FLAGS, saga_enabled=True)
     hosts = ["h1", "h2", "h3", "h4"] + list(extra_hosts)
     bed = build_testbed(hosts=hosts)
-    coordinator = bed.add_runtime("h1", **kwargs)
-    participants = [bed.add_runtime(h, **kwargs) for h in hosts[1:]]
+    coordinator = bed.add_runtime("h1", **RUNTIME_FLAGS)
+    participants = [bed.add_runtime(h, **RUNTIME_FLAGS) for h in hosts[1:]]
     states = {}
     devices = {}
     for runtime, role in zip(participants[:3], ROLES):

@@ -20,7 +20,6 @@ from tests.chaos.flags import (
     LOSE_STATE,
     REPLICATION,
     RUNTIME_FLAGS,
-    SAGA,
     SEED,
     SHARDED,
 )
@@ -33,9 +32,7 @@ CALM_DOWN = 90.0
 def build_soak():
     """Three runtimes, a failover binding, and a steady sender."""
     bed = build_testbed(hosts=["h1", "h2", "h3"])
-    kwargs = dict(
-        RUNTIME_FLAGS, saga_enabled=SAGA, replication_factor=2 if REPLICATION else 1
-    )
+    kwargs = dict(RUNTIME_FLAGS, replication_factor=2 if REPLICATION else 1)
     r1 = bed.add_runtime("h1", **kwargs)
     r2 = bed.add_runtime("h2", **kwargs)
     r3 = bed.add_runtime("h3", **kwargs)
@@ -238,9 +235,7 @@ class TestSagaSoak:
         on both devices (committed) or on neither (compensated) -- never
         on exactly one -- and the directories are index-consistent."""
         bed = build_testbed(hosts=["h1", "h2", "h3"])
-        kwargs = dict(
-            RUNTIME_FLAGS, saga_enabled=True, replication_factor=2 if REPLICATION else 1
-        )
+        kwargs = dict(RUNTIME_FLAGS, replication_factor=2 if REPLICATION else 1)
         r1 = bed.add_runtime("h1", **kwargs)
         r2 = bed.add_runtime("h2", **kwargs)
         r3 = bed.add_runtime("h3", **kwargs)

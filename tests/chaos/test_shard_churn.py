@@ -294,7 +294,7 @@ class TestPartitionOracle:
     flat oracle of surviving local registrations.  Runs flat
     (replication_factor=1) and, under ``CHAOS_REPLICATION=1``, replicated
     -- the converged outcome must be identical, and in the replicated
-    run no stale-epoch replica slice may survive the heal."""
+    run no write from a deposed primary may survive the heal."""
 
     @pytest.mark.parametrize("seed", [17, 43])
     def test_partition_churn_heal_converges_to_oracle(self, seed):
@@ -376,8 +376,9 @@ class TestPartitionOracle:
                     f"{runtime.runtime_id} replica slice {shard} "
                     f"resurrects {stale}"
                 )
-        # No stale-epoch survivors: after the heal every replica slice
-        # anywhere matches its primary's authoritative slice content.
+        # No write from a deposed primary survives: after the heal every
+        # replica slice anywhere matches its primary's authoritative slice
+        # content.
         if REPLICATION:
             by_id = {r.runtime_id: r for r in cluster}
             for runtime in cluster:

@@ -1,6 +1,6 @@
 """Replicated shard slices under chaos: keyed lookups must survive a
 primary crash and a minority partition through ranked-replica degraded
-reads, epoch/owner fencing must keep a deposed primary's writes out,
+reads, owner fencing must keep a deposed primary's writes out,
 handoff must warm-ingest from surviving replicas, and the whole overlay
 must be inert at the default ``replication_factor=1``.
 
@@ -17,7 +17,7 @@ from repro.core.directory import LEASE
 from repro.core.errors import ShardUnavailable
 from repro.core.journal import replay_blob
 from repro.core.query import Query
-from repro.core.replica import replicas_of, slice_digest
+from repro.core.replica import slice_digest
 from repro.core.translator import Translator
 from repro.testbed import build_testbed
 
@@ -30,7 +30,6 @@ from tests.core.test_directory_index import random_profile
 
 #: Journal record kinds that only the replication overlay writes.
 REPLICA_RECORD_KINDS = {
-    "shard-epoch",
     "shard-promote",
     "shard-replica",
     "shard-replica-drop",
@@ -102,7 +101,8 @@ def drop_lookup_caches(runtimes):
 
 def assert_replica_coherence(cluster):
     """Every replica slice anywhere matches its primary's authoritative
-    slice content -- no stale-epoch survivors after convergence."""
+    slice content -- no write from a deposed primary survives
+    convergence."""
     by_id = {runtime.runtime_id: runtime for runtime in cluster}
     for runtime in cluster:
         for shard in runtime.shards.replicas.shards():
@@ -179,7 +179,7 @@ class TestAvailabilityUnderCrash:
             True for _ in bed.trace.records("shard.unavailable")
         ), "no shard.unavailable trace emitted"
 
-        # The structured surface: shard, owner, epoch, retryable.
+        # The structured surface: shard, owner, retryable.
         caught = None
         for prober in probers:
             for role in sorted(oracle):
@@ -223,19 +223,16 @@ class TestAvailabilityUnderPartition:
         )
         assert sum(r.shards.degraded_reads for r in majority) > 0
 
-        # Let the minority's lease expire: the majority deposes it with a
-        # quorum epoch bump; the minority (1 of 5, no quorum) must not
-        # advance its own epoch.
-        pre_epochs = {r.runtime_id: r.shards.epoch for r in cluster}
+        # Let the minority's lease expire: every majority view deposes
+        # it, while the minority's own view keeps only itself -- and so
+        # names it the owner of every shard.  The receiver's view is what
+        # fences, so that self-view grants it no write on the majority.
         bed.settle(LEASE + 5.0)
         for runtime in majority:
-            assert runtime.shards.epoch > pre_epochs[runtime.runtime_id], (
-                f"{runtime.runtime_id} failed to advance its epoch on the "
-                "quorum side"
+            assert minority.runtime_id not in runtime.shards.map.members, (
+                f"{runtime.runtime_id} failed to depose the minority"
             )
-        assert minority.shards.epoch == pre_epochs[minority.runtime_id], (
-            "the deposed minority advanced its epoch without quorum"
-        )
+        assert minority.shards.map.members == (minority.runtime_id,)
 
         # Heal and measure time-to-reconverge: the first instant every
         # runtime's keyed lookups agree with the flat oracle again.
@@ -284,6 +281,9 @@ class TestAvailabilityUnderPartition:
 
 
 class TestEpochFencing:
+    """Owner-anchored fencing: a replica applies a replica-plane frame
+    only when the sender owns the shard in the replica's own view."""
+
     def _replica_holding(self, cluster):
         """A (receiver, shard) pair where the receiver passively holds a
         non-empty replica slice for a shard another runtime owns."""
@@ -301,13 +301,11 @@ class TestEpochFencing:
             ["h1", "h2", "h3"], seed=73, profiles=24
         )
         receiver, shard, owner = self._replica_holding(cluster)
-        assert receiver.shards.epoch >= 1  # quorum joins advanced epochs
 
         zombie = random_profile(random.Random(99), 999, "rt-ghost")
         frame = {
             "kind": "umiddle-shard-replica",
             "origin": "rt-ghost",  # not the owner under any member's map
-            "epoch": receiver.shards.epoch + 10,  # even a "high" epoch
             "slices": {
                 str(shard): {
                     "profiles": [zombie.to_dict()],
@@ -325,14 +323,40 @@ class TestEpochFencing:
         assert any(True for _ in bed.trace.records("shard.fenced"))
 
         # The same frame from the *current* owner is accepted: authority
-        # is anchored on the membership view, not on the raw counter.
+        # is anchored on the membership view.
         frame["origin"] = owner.runtime_id
-        frame["epoch"] = 0
         receiver.shards.handle(frame)
         assert receiver.shards.fenced_frames == fenced_before + 1
         assert zombie.translator_id in (
             receiver.shards.replicas.get(shard).entries
         )
+
+    def test_non_owner_digest_is_fenced_without_reply(self):
+        bed, cluster, ids = build_cluster(
+            ["h1", "h2", "h3"], seed=73, profiles=24
+        )
+        receiver, shard, owner = self._replica_holding(cluster)
+        (bystander,) = [
+            r for r in cluster if r is not receiver and r is not owner
+        ]
+        # A digest claiming the slice is empty: the receiver's populated
+        # slice mismatches it, so only the fence keeps it from replying.
+        frame = {
+            "kind": "umiddle-shard-digest",
+            "origin": bystander.runtime_id,
+            "shards": {str(shard): [0, slice_digest({})]},
+        }
+        fenced_before = receiver.shards.fenced_frames
+        replies_before = receiver.shards.digest_replies
+        receiver.shards.handle(frame)
+        assert receiver.shards.fenced_frames == fenced_before + 1
+        assert receiver.shards.digest_replies == replies_before
+
+        # The same digest from the owner draws the mismatch reply.
+        frame["origin"] = owner.runtime_id
+        receiver.shards.handle(frame)
+        assert receiver.shards.fenced_frames == fenced_before + 1
+        assert receiver.shards.digest_replies == replies_before + 1
 
     def test_deposed_primary_write_does_not_survive_heal(self):
         bed, cluster, ids = build_cluster(FIVE, seed=79, profiles=40)
@@ -340,18 +364,17 @@ class TestEpochFencing:
         majority = cluster[1:]
         bed.lan.partition([["h1"], ["h2", "h3", "h4", "h5"]])
         # Past the lease: the majority has deposed h1 and re-owned its
-        # shards under a bumped quorum epoch.
+        # shards.
         bed.settle(LEASE + 5.0)
 
         receiver, shard, _owner = self._replica_holding(majority)
         assert receiver.shards.map.owner(shard) != minority.runtime_id
-        # The write the deposed primary would stream were its stale view
-        # still in force: its (frozen) epoch, its runtime as origin.
+        # The write the deposed primary streams under its own view, in
+        # which it still owns the shard: its runtime as origin.
         zombie = random_profile(random.Random(101), 998, minority.runtime_id)
         frame = {
             "kind": "umiddle-shard-replica",
             "origin": minority.runtime_id,
-            "epoch": minority.shards.epoch,
             "slices": {
                 str(shard): {
                     "profiles": [zombie.to_dict()],
@@ -425,7 +448,6 @@ class TestHandoffAndRecovery:
             if profile["runtime_id"] != subject.runtime_id
         }
         assert replicated_before, "no peer-origin replica entries to track"
-        epoch_before = subject.shards.epoch
 
         subject.crash(lose_state=True)
         assert subject.shards.replicas.profile_count == 0  # really gone
@@ -442,7 +464,6 @@ class TestHandoffAndRecovery:
         }
         missing = replicated_before - held - still_replica
         assert not missing, f"replica entries lost in recovery: {missing}"
-        assert subject.shards.epoch >= epoch_before  # epochs never regress
 
         bed.settle(LEASE + 5.0)
         assert_placement_invariant(cluster)
@@ -481,7 +502,6 @@ class TestFactorOneInert:
             router = runtime.shards
             assert not router.replicated
             assert router.replicas.slice_count == 0
-            assert router.epoch == 0
             assert router.degraded_reads == 0
             assert router.warm_ingests == 0
             assert router.fenced_frames == 0

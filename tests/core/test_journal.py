@@ -1,6 +1,7 @@
 """Unit tests for the write-ahead journal: record framing, checksum and
 torn-tail handling, group commit, and replay into RecoveredState."""
 
+import random
 
 import pytest
 
@@ -13,6 +14,8 @@ from repro.core.journal import (
     replay_blob,
 )
 from repro.testbed import build_testbed
+
+from tests.core.test_directory_index import random_profile
 
 
 def records_of(blob):
@@ -339,6 +342,72 @@ class TestReplaySemantics:
         data = records[0]["data"]
         assert data["stream_seqs"] == {"ctl:rt-h2": 67, "ctl:rt-h3": 65}
         assert "codec_peers" not in data and "codec_z_peers" not in data
+
+    def test_retired_ownership_epoch_records_replay_ignored(self):
+        """Blobs from when the replica tier kept an ownership epoch hold
+        ``shard-epoch`` records, ``shard-replica`` records stamped with an
+        ``epoch`` and checkpoints carrying ``shard_epoch`` and per-slice
+        ``epoch`` fields.  Such a blob replays to the same state as the
+        same blob without those entries, and cold recovery's checkpoint
+        drops them."""
+        rng = random.Random(7)
+        p1 = random_profile(rng, 1, "rt-h2").to_dict()
+        p2 = random_profile(rng, 2, "rt-h3").to_dict()
+        t1, t2 = p1["translator_id"], p2["translator_id"]
+        checkpoint = {
+            "registered": {},
+            "bindings": {},
+            "paths": {},
+            "spool": {},
+            "stream_seqs": {},
+            "breakers": {},
+            "shard_owned": [3],
+            "replica_slices": {"5": {"entries": {t1: p1}}},
+        }
+        push = {"shard": 5, "profiles": [p2], "removed": [t1], "full": False}
+        sync = {"shard": 9, "profiles": [p1], "removed": [], "full": True}
+        current = [
+            ("checkpoint", checkpoint),
+            ("shard-replica", push),
+            ("shard-replica", sync),
+        ]
+        old = [
+            (
+                "checkpoint",
+                dict(
+                    checkpoint,
+                    shard_epoch=4,
+                    replica_slices={"5": {"epoch": 3, "entries": {t1: p1}}},
+                ),
+            ),
+            ("shard-epoch", {"epoch": 5}),
+            ("shard-replica", dict(push, epoch=5)),
+            ("shard-epoch", {"epoch": 6}),
+            ("shard-replica", dict(sync, epoch=2)),
+        ]
+
+        def replayed(steps, blob):
+            for lsn, (kind, data) in enumerate(steps, start=1):
+                blob.extend(encode_record(lsn, kind, data))
+            return self.apply(*((r["kind"], r["data"]) for r in records_of(blob)))
+
+        bed = build_testbed(hosts=["h1"])
+        state = replayed(old, durable_media(bed.network).blob("rt-h1"))
+        assert vars(state) == vars(replayed(current, bytearray()))
+        assert state.replica_slices == {
+            "5": {"entries": {t2: p2}},
+            "9": {"entries": {t1: p1}},
+        }
+        runtime = bed.add_runtime(
+            "h1", sharding_enabled=True, replication_factor=2
+        )
+        runtime.crash(lose_state=True)
+        runtime.recover()
+        records = records_of(runtime.journal.blob)
+        assert [r["kind"] for r in records] == ["checkpoint"]
+        data = records[0]["data"]
+        assert "shard_epoch" not in data
+        assert data["replica_slices"] == state.replica_slices
 
 
 class TestAmortizedSpoolRecords:

@@ -48,9 +48,9 @@ def refuse(token):
 
 def build(**kwargs):
     bed = build_testbed(hosts=["h1", "h2", "h3"])
-    r1 = bed.add_runtime("h1", saga_enabled=True, **kwargs)
-    r2 = bed.add_runtime("h2", saga_enabled=True, **kwargs)
-    r3 = bed.add_runtime("h3", saga_enabled=True, **kwargs)
+    r1 = bed.add_runtime("h1", **kwargs)
+    r2 = bed.add_runtime("h2", **kwargs)
+    r3 = bed.add_runtime("h3", **kwargs)
     lock_state, light_state = [], []
     lock = token_device("lock-0", "lock", lock_state)
     light = token_device("light-0", "light", light_state)
@@ -237,27 +237,9 @@ class TestSagaInterleaving:
 
 
 class TestSagaGating:
-    def test_disabled_by_default_and_begin_raises(self):
-        bed = build_testbed(hosts=["h1"])
-        r1 = bed.add_runtime("h1")
-        with pytest.raises(SagaError):
-            r1.connect_saga([(Query(role="x"), add("t"))])
-
-    def test_disabled_participant_refuses_terminally(self):
-        bed = build_testbed(hosts=["h1", "h2"])
-        r1 = bed.add_runtime("h1", saga_enabled=True)
-        r2 = bed.add_runtime("h2")  # saga-disabled participant
-        state = []
-        r2.register_translator(token_device("lock-0", "lock", state))
-        bed.settle(2.0)
-        saga = r1.connect_saga([(Query(role="lock"), add("tE"), remove("tE"))])
-        bed.settle(20.0)
-        assert saga.status == "compensated"
-        assert state == []
-
     def test_malformed_actions_raise(self):
         bed = build_testbed(hosts=["h1"])
-        r1 = bed.add_runtime("h1", saga_enabled=True)
+        r1 = bed.add_runtime("h1")
         with pytest.raises(SagaError):
             r1.connect_saga([])
         with pytest.raises(SagaError):
