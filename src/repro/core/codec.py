@@ -62,6 +62,7 @@ __all__ = [
     "CodecError",
     "WireDecoder",
     "WireEncoder",
+    "canonical_json",
     "decode_gossip",
     "decode_journal_body",
     "encode_gossip",
@@ -177,6 +178,21 @@ _CRC = struct.Struct(">I")
 _CONSTANTS = (None, True, False)
 
 
+#: ``json.dumps`` with non-default arguments builds a new encoder per
+#: call; the canonical form shares this one.
+_CANONICAL_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def canonical_json(value: Any) -> bytes:
+    """The canonical (key-sorted, compact) JSON encoding of ``value``.
+
+    Byte-identical to ``json.dumps(value, sort_keys=True,
+    separators=(",", ":")).encode("utf-8")``, and like it raises
+    :class:`TypeError` for values JSON cannot represent.
+    """
+    return _CANONICAL_JSON.encode(value).encode("utf-8")
+
+
 def json_size(value: Any) -> int:
     """Byte length of the canonical-JSON wire form of ``value``.
 
@@ -185,9 +201,7 @@ def json_size(value: Any) -> int:
     constructed without an explicit size.  Raises :class:`TypeError` for
     values JSON cannot represent, like ``json.dumps``.
     """
-    return len(
-        json.dumps(value, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    )
+    return len(canonical_json(value))
 
 
 class BinaryFrame:

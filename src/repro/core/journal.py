@@ -58,6 +58,7 @@ from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.core.codec import (
     CodecError,
+    canonical_json,
     decode_journal_body,
     encode_journal_body,
     is_binary_journal_body,
@@ -157,9 +158,7 @@ def encode_record(
         except TypeError:
             pass
     if body is None:
-        body = json.dumps(
-            record, sort_keys=True, separators=(",", ":")
-        ).encode("utf-8")
+        body = canonical_json(record)
     return b"%08x " % (zlib.crc32(body) & 0xFFFFFFFF) + body + b"\n"
 
 

@@ -9,7 +9,6 @@ by the directory module.
 from __future__ import annotations
 
 import hashlib
-import json
 import weakref
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Tuple
@@ -21,14 +20,9 @@ from repro.core.shapes import Direction, DigitalType, PhysicalType, PortSpec, Sh
 __all__ = ["PortRef", "TranslatorProfile", "same_except_health"]
 
 
-def _canonical_encode(data: Dict[str, Any]) -> bytes:
-    """The canonical (key-sorted, compact) JSON encoding of a wire dict."""
-    return json.dumps(data, sort_keys=True, separators=(",", ":")).encode("utf-8")
-
-
 def _canonical_digest(data: Dict[str, Any]) -> str:
     """Content digest of a wire-form dict (canonical JSON, key-sorted)."""
-    return hashlib.sha1(_canonical_encode(data)).hexdigest()
+    return hashlib.sha1(codec.canonical_json(data)).hexdigest()
 
 
 #: Profiles reconstructed from the wire, keyed by content digest.  Unchanged
@@ -141,7 +135,7 @@ class TranslatorProfile:
         """
         cached = self.__dict__.get("_wire_bytes")
         if cached is None:
-            cached = _canonical_encode(self.to_dict())
+            cached = codec.canonical_json(self.to_dict())
             object.__setattr__(self, "_wire_bytes", cached)
         return cached
 

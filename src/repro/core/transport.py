@@ -217,7 +217,7 @@ class MessagePath:
         umiddle = runtime.calibration.umiddle
         while not self.closed:
             if not self._buffer:
-                self._wakeup = kernel.event(name=f"path-wait:{self.path_id}")
+                self._wakeup = kernel.event(name="path-wait")
                 yield self._wakeup
                 self._wakeup = None
                 continue
@@ -823,7 +823,7 @@ class Transport:
         if wakeup is not None and wakeup.processed:
             wakeup.reset()
         elif wakeup is None or wakeup.triggered:
-            wakeup = self.runtime.kernel.event(name=f"peer-outbox:{runtime_id}")
+            wakeup = self.runtime.kernel.event(name="peer-outbox")
             self._peer_wakeups[runtime_id] = wakeup
         return wakeup
 

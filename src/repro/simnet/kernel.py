@@ -11,6 +11,10 @@ Core concepts
 ``Kernel``
     Owns the simulated clock and the event queue.  ``kernel.run()`` executes
     events in timestamp order until the queue drains or a deadline passes.
+    Each queue entry is one ``[time, sequence, callable]`` list: an event's
+    trigger enqueues its ``_process_trigger`` method, and
+    :meth:`Kernel.call_soon` / :meth:`Kernel.call_later` enqueue the
+    callback itself, with no event, callbacks list or wrapper around it.
 
 ``Event``
     A one-shot occurrence.  Processes wait on events by ``yield``-ing them;
@@ -34,11 +38,20 @@ Determinism
 Events scheduled for the same timestamp execute in FIFO order of scheduling
 (a monotonically increasing sequence number breaks ties), so simulations are
 fully deterministic -- a property the benchmark harness relies on.
+
+Cancellation
+------------
+
+``call_soon`` and ``call_later`` return the queue entry as a handle, and
+:meth:`Kernel.cancel` blanks its callable.  A cancelled entry keeps its
+slot: when it is popped it still advances the clock to its time, but it
+dispatches nothing and is not counted in ``processed_events``.  So the
+clock after ``run()`` never depends on whether a timer was cancelled.
 """
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
 __all__ = [
@@ -90,7 +103,7 @@ class Event:
 
     def __init__(self, kernel: "Kernel", name: str = ""):
         self._kernel = kernel
-        self.name = name or self.__class__.__name__
+        self._name = name
         self.callbacks: Optional[List[Callable[["Event"], None]]] = []
         self._value: Any = None
         self._exception: Optional[BaseException] = None
@@ -100,6 +113,15 @@ class Event:
         self.defused = False
 
     # -- inspection ---------------------------------------------------
+
+    @property
+    def name(self) -> str:
+        """Debug name; an unnamed event reads its default, formatted only
+        when asked for, so hot waits pay for no string."""
+        return self._name or self._default_name()
+
+    def _default_name(self) -> str:
+        return self.__class__.__name__
 
     @property
     def kernel(self) -> "Kernel":
@@ -138,7 +160,7 @@ class Event:
             raise SimulationError(f"{self.name} has already been triggered")
         self._value = value
         self._state = Event.TRIGGERED
-        self._kernel._enqueue_trigger(self)
+        self._kernel._schedule(0.0, self._process_trigger)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -149,7 +171,7 @@ class Event:
             raise TypeError("fail() requires an exception instance")
         self._exception = exception
         self._state = Event.TRIGGERED
-        self._kernel._enqueue_trigger(self)
+        self._kernel._schedule(0.0, self._process_trigger)
         return self
 
     # -- callbacks ----------------------------------------------------
@@ -204,11 +226,14 @@ class Timeout(Event):
     def __init__(self, kernel: "Kernel", delay: float, value: Any = None):
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay}")
-        super().__init__(kernel, name=f"Timeout({delay})")
+        super().__init__(kernel)
         self.delay = delay
         self._value = value
         self._state = Event.TRIGGERED
-        kernel._enqueue_trigger(self, delay=delay)
+        kernel._schedule(delay, self._process_trigger)
+
+    def _default_name(self) -> str:
+        return f"Timeout({self.delay})"
 
 
 class _Initialize(Event):
@@ -218,7 +243,7 @@ class _Initialize(Event):
         super().__init__(kernel, name=f"Init({process.name})")
         self._state = Event.TRIGGERED
         self.callbacks.append(process._resume)
-        kernel._enqueue_trigger(self)
+        kernel._schedule(0.0, self._process_trigger)
 
 
 class Process(Event):
@@ -272,7 +297,7 @@ class Process(Event):
         throw_event.callbacks.append(self._resume)
         if defuse:
             self.defused = True
-        self._kernel._enqueue_trigger(throw_event)
+        self._kernel._schedule(0.0, throw_event._process_trigger)
 
     # -- generator driving --------------------------------------------
 
@@ -290,13 +315,13 @@ class Process(Event):
                     self._waiting_on = None
                     self._value = stop.value
                     self._state = Event.TRIGGERED
-                    self._kernel._enqueue_trigger(self)
+                    self._kernel._schedule(0.0, self._process_trigger)
                     return
                 except BaseException as exc:
                     self._waiting_on = None
                     self._exception = exc
                     self._state = Event.TRIGGERED
-                    self._kernel._enqueue_trigger(self)
+                    self._kernel._schedule(0.0, self._process_trigger)
                     return
 
                 if not isinstance(target, Event):
@@ -439,7 +464,8 @@ class Kernel:
 
     @property
     def processed_events(self) -> int:
-        """Total number of events processed so far (for tests/metrics)."""
+        """Queue entries dispatched so far (for tests/metrics); cancelled
+        entries do not count."""
         return self._processed_events
 
     # -- event factories ------------------------------------------------
@@ -459,39 +485,54 @@ class Kernel:
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
 
-    def call_soon(self, func: Callable[[], None]) -> Event:
-        """Schedule ``func`` to run at the current simulated time."""
-        event = Event(self, name="call_soon")
-        event.add_callback(lambda _evt: func())
-        event.succeed()
-        return event
+    def call_soon(self, func: Callable[[], None]) -> list:
+        """Schedule ``func()`` at the current simulated time; returns a
+        handle for :meth:`cancel`."""
+        return self._schedule(0.0, func)
 
-    def call_later(self, delay: float, func: Callable[[], None]) -> Timeout:
-        """Schedule ``func`` to run ``delay`` seconds in the future."""
-        timeout = self.timeout(delay)
-        timeout.add_callback(lambda _evt: func())
-        return timeout
+    def call_later(self, delay: float, func: Callable[[], None]) -> list:
+        """Schedule ``func()`` ``delay`` seconds in the future; returns a
+        handle for :meth:`cancel`."""
+        if delay < 0:
+            raise SimulationError(f"negative delay: {delay}")
+        return self._schedule(delay, func)
+
+    def cancel(self, handle: Optional[list]) -> None:
+        """Cancel a callback scheduled by :meth:`call_soon` or
+        :meth:`call_later`.
+
+        The entry keeps its queue slot and still advances the clock when
+        popped, but runs nothing.  Cancelling ``None`` or a callback that
+        already ran is a no-op.
+        """
+        if handle is not None:
+            handle[2] = None
 
     # -- scheduling ------------------------------------------------------
 
-    def _enqueue_trigger(self, event: Event, delay: float = 0.0) -> None:
+    def _schedule(self, delay: float, func: Callable[[], None]) -> list:
         self._sequence += 1
-        heapq.heappush(self._queue, (self._now + delay, self._sequence, event))
+        entry = [self._now + delay, self._sequence, func]
+        heappush(self._queue, entry)
+        return entry
 
     def peek(self) -> float:
-        """Timestamp of the next scheduled event, or ``inf`` if none."""
+        """Timestamp of the next queue entry (cancelled ones included),
+        or ``inf`` if none."""
         return self._queue[0][0] if self._queue else float("inf")
 
     def step(self) -> None:
-        """Process exactly one event, advancing the clock to its time."""
+        """Pop exactly one queue entry, advancing the clock to its time,
+        and run it unless it was cancelled."""
         if not self._queue:
             raise SimulationError("step() on an empty event queue")
-        when, _seq, event = heapq.heappop(self._queue)
+        when, _seq, func = heappop(self._queue)
         if when < self._now:
             raise SimulationError("event scheduled in the past (kernel bug)")
         self._now = when
-        self._processed_events += 1
-        event._process_trigger()
+        if func is not None:
+            self._processed_events += 1
+            func()
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the queue drains, or the clock would pass ``until``.
@@ -501,8 +542,9 @@ class Kernel:
         """
         if until is not None and until < self._now:
             raise SimulationError(f"deadline {until} is in the past (now={self._now})")
-        while self._queue:
-            if until is not None and self.peek() > until:
+        queue = self._queue
+        while queue:
+            if until is not None and queue[0][0] > until:
                 break
             self.step()
         if until is not None:

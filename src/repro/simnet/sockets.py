@@ -481,7 +481,8 @@ class StreamSocket:
         self._unacked: Deque[_Segment] = deque()
         self._next_seq = 0
         self._pump_running = False
-        self._retransmit_timer: Optional[Event] = None
+        #: Handle of the armed retransmit timer (see ``Kernel.cancel``).
+        self._retransmit_timer: Optional[list] = None
         self._retries = 0
         self._drained_waiters: Deque[Event] = deque()
         #: Reusable parked event for :meth:`drained_wait`: hot senders wait
@@ -606,7 +607,7 @@ class StreamSocket:
 
     def drained(self) -> Event:
         """Event that succeeds once all queued data has been acknowledged."""
-        event = self.kernel.event(name=f"drained:{self._key}")
+        event = self.kernel.event(name="drained")
         if not self._send_queue and not self._unacked:
             event.succeed()
         else:
@@ -630,7 +631,7 @@ class StreamSocket:
                 if event is not None and event.processed:
                     event = event.reset()
                 else:
-                    event = self.kernel.event(name=f"drained:{self._key}")
+                    event = self.kernel.event(name="drained")
                 self._drained_parked = event
                 self._drained_waiters.append(event)
             yield event
@@ -687,18 +688,15 @@ class StreamSocket:
         self.node.send_frame(frame)
 
     def _arm_retransmit(self) -> None:
-        if self._retransmit_timer is not None:
-            return
-        timer = self.kernel.timeout(self.RTO)
-        self._retransmit_timer = timer
-        timer.add_callback(lambda _evt: self._on_retransmit_timer(timer))
+        if self._retransmit_timer is None:
+            self._retransmit_timer = self.kernel.call_later(
+                self.RTO, self._on_retransmit_timer
+            )
 
-    def _on_retransmit_timer(self, timer: Event) -> None:
-        if self._retransmit_timer is not timer or self.closed:
-            return  # stale timer (acks progressed and re-armed a fresh one)
+    def _on_retransmit_timer(self) -> None:
+        # Only the live timer fires: ack progress and ``_fail`` cancel it,
+        # so the stream is open and still holds unacknowledged segments.
         self._retransmit_timer = None
-        if not self._unacked:
-            return
         self._retries += 1
         if self._retries > self.MAX_RETRIES:
             self._fail(ConnectionClosed("too many retransmissions"))
@@ -782,7 +780,8 @@ class StreamSocket:
                     waiter.succeed()
         if progressed:
             self._retries = 0
-            self._retransmit_timer = None  # disarm; re-armed on next send
+            self.kernel.cancel(self._retransmit_timer)
+            self._retransmit_timer = None
             if self._unacked:
                 self._arm_retransmit()
         if not self._send_queue and not self._unacked:
@@ -793,7 +792,7 @@ class StreamSocket:
 
     def recv(self) -> Event:
         """Event that succeeds with ``(payload, size)`` of the next message."""
-        event = self.kernel.event(name=f"recv:{self._key}")
+        event = self.kernel.event(name="recv")
         if self._recv_queue:
             event.succeed(self._recv_queue.popleft())
         elif self.closed:
@@ -840,6 +839,7 @@ class StreamSocket:
         if self.closed:
             return
         self.closed = True
+        self.kernel.cancel(self._retransmit_timer)
         self._retransmit_timer = None
         while self._recv_waiters:
             waiter = self._recv_waiters.popleft()

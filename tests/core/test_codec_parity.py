@@ -18,6 +18,7 @@ emits varints it cannot read back, and the rewrite raises ``TypeError``
 instead (``test_codec.py`` covers that fix).
 """
 
+import json
 import random
 import zlib
 from collections import OrderedDict, namedtuple
@@ -233,6 +234,28 @@ class TestEncodeParity:
             assert outcome(new_dec.decode_frame, new) == outcome(old_dec.decode_frame, old)
         assert failures > 50
         assert len(old_enc._symbols) == codec.DYNAMIC_LIMIT
+
+    def test_canonical_json_matches_json_dumps(self):
+        """The shared encoder behind the journal's JSON bodies, profile
+        digests and ``json_size`` is byte-identical to ``json.dumps``, and
+        refuses exactly what it refuses."""
+        rng = random.Random(101)
+        encoded = 0
+        for index in range(1500):
+            value = fuzz_value(rng) if index % 2 else fuzz_envelope(rng, index)
+            try:
+                expected = json.dumps(
+                    value, sort_keys=True, separators=(",", ":")
+                ).encode()
+            except TypeError:
+                with pytest.raises(TypeError):
+                    codec.canonical_json(value)
+                continue
+            assert codec.canonical_json(value) == expected
+            encoded += 1
+        assert encoded > 1000
+        with pytest.raises(TypeError):
+            codec.canonical_json({"tags": {"a", "b"}})
 
 
 # -- identical rejections -----------------------------------------------------

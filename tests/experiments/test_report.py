@@ -5,6 +5,7 @@ the runners' contracts (determinism, structure) and the report rendering.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +17,13 @@ from repro.experiments import (
     run_table1,
 )
 from repro.experiments.report import build_report, main, render_report
+
+#: ``build_report()`` as JSON, recorded once; every figure must repeat
+#: exactly, so a kernel, codec or transport change that moves any sim
+#: timestamp of the reproduced experiments fails here.
+GOLDEN = Path(__file__).with_name("report_golden.json")
+#: The committed text report, ``python -m repro.experiments`` output.
+REPORT_TEXT = Path(__file__).resolve().parents[2] / "experiments_report.txt"
 
 
 class TestRunners:
@@ -62,6 +70,14 @@ class TestReport:
         for token in ("Table 1", "Figure 10", "Section 5.2", "Figure 11"):
             assert token in text
         assert "matches the paper" in text
+
+    def test_figures_equal_the_golden_report(self, report):
+        golden = json.loads(GOLDEN.read_text())
+        assert json.loads(json.dumps(report)) == golden
+
+    def test_committed_text_report_renders_the_golden(self):
+        golden = json.loads(GOLDEN.read_text())
+        assert render_report(golden) + "\n" == REPORT_TEXT.read_text()
 
     def test_fig11_values_near_paper(self, report):
         for name, row in report["fig11"].items():

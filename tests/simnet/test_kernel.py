@@ -327,3 +327,59 @@ class TestScheduling:
         kernel.run()
         assert seen == [0, 1, 2, 3]
         assert kernel.now == 3.0
+
+    def test_negative_call_later_delay_rejected(self, kernel):
+        with pytest.raises(SimulationError):
+            kernel.call_later(-0.5, lambda: None)
+
+
+class TestCancellation:
+    def test_cancelled_callback_never_runs_and_is_not_counted(self, kernel):
+        fired = []
+        kernel.call_later(1.0, lambda: fired.append("kept"))
+        kernel.cancel(kernel.call_later(2.0, lambda: fired.append("cancelled")))
+        kernel.cancel(kernel.call_soon(lambda: fired.append("soon")))
+        kernel.run()
+        assert fired == ["kept"]
+        assert kernel.processed_events == 1
+
+    def test_cancelled_last_entry_still_moves_the_clock(self, kernel):
+        kernel.call_later(1.0, lambda: None)
+        kernel.cancel(kernel.call_later(5.0, lambda: None))
+        assert kernel.peek() == 1.0
+        kernel.run()
+        assert kernel.now == 5.0
+
+    def test_cancel_after_fire_and_cancel_none_are_noops(self, kernel):
+        fired = []
+        handle = kernel.call_later(1.0, lambda: fired.append("first"))
+        kernel.run()
+        kernel.call_later(1.0, lambda: fired.append("second"))
+        kernel.cancel(handle)
+        kernel.cancel(None)
+        kernel.run()
+        assert fired == ["first", "second"]
+        assert kernel.processed_events == 2
+
+    def test_cancel_from_an_earlier_callback(self, kernel):
+        fired = []
+        late = kernel.call_later(2.0, lambda: fired.append("late"))
+        kernel.call_later(1.0, lambda: kernel.cancel(late))
+        kernel.run()
+        assert fired == []
+        assert kernel.now == 2.0
+
+
+class TestNames:
+    def test_timeout_name_is_formatted_on_read(self, kernel):
+        assert kernel.timeout(0.25).name == "Timeout(0.25)"
+
+    def test_explicit_and_default_names(self, kernel):
+        assert kernel.event(name="recv").name == "recv"
+        assert kernel.event().name == "Event"
+
+        def worker(k):
+            yield k.timeout(1.0)
+
+        assert kernel.process(worker(kernel)).name == "worker"
+        assert kernel.process(worker(kernel), name="pump").name == "pump"

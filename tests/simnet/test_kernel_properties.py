@@ -54,6 +54,50 @@ def test_same_timestamp_events_fire_fifo(groups):
 
 
 @given(
+    entries=st.lists(
+        st.tuples(
+            st.sampled_from(["timeout", "call_later", "call_soon"]),
+            st.one_of(st.sampled_from([0.0, 0.25, 1.0]), st.floats(0, 10)),
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=40,
+    )
+)
+@settings(max_examples=100)
+def test_mixed_entries_dispatch_in_time_then_creation_order(entries):
+    """Timeouts, callbacks and cancellations share one (time, creation)
+    order; a cancelled callback never runs but still bounds the clock."""
+    kernel = Kernel()
+    fired = []
+    expected = []
+    for index, (kind, delay, cancel) in enumerate(entries):
+        if kind == "timeout":
+            kernel.timeout(delay).add_callback(
+                lambda _evt, i=index: fired.append((kernel.now, i))
+            )
+            cancel = False  # an event has no cancel
+        else:
+            if kind == "call_soon":
+                delay = 0.0
+                handle = kernel.call_soon(lambda i=index: fired.append((kernel.now, i)))
+            else:
+                handle = kernel.call_later(
+                    delay, lambda i=index: fired.append((kernel.now, i))
+                )
+            if cancel:
+                kernel.cancel(handle)
+        if not cancel:
+            expected.append((delay, index))
+    kernel.run()
+    assert fired == sorted(expected)
+    assert kernel.processed_events == len(expected)
+    assert kernel.now == max(
+        0.0 if kind == "call_soon" else delay for kind, delay, _ in entries
+    )
+
+
+@given(
     process_delays=st.lists(
         st.lists(st.floats(min_value=0.001, max_value=5), min_size=1, max_size=5),
         min_size=1,

@@ -373,6 +373,85 @@ class TestStreamSocket:
         assert kernel.run_process(server(kernel)) == "closed"
 
 
+class TestRetransmitTiming:
+    """Seeded lossy and dead-peer streams, pinned to exact sim times.
+
+    The retransmit timer decides when a lost segment goes out again, so a
+    change to how timers are armed, cancelled or ordered shows up here as
+    a shifted delivery, a different retransmission count or a different
+    final clock.  The figures are exact floats from a reference run.
+    """
+
+    #: Delivery time of messages 0..23, then of ``"last"``.
+    DELIVERED_AT = [
+        0.0027072, 0.0048472, 0.7832383999999999, 0.7837007999999999,
+        0.7848831999999999, 0.7868479999999999, 0.7873103999999999,
+        0.7884927999999999, 0.7904575999999999, 0.7909199999999998,
+        0.7921023999999999, 0.7940671999999999, 0.7945295999999998,
+        0.7957119999999999, 0.7976767999999999, 0.7981391999999998,
+        0.7993215999999999, 1.3199344000000004, 1.3203968000000004,
+        1.3215792000000004, 1.5795304000000008, 1.5799928000000008,
+        1.5811752000000008, 1.5831400000000009, 1.585336800000001,
+    ]
+
+    def test_lossy_stream_golden_timing(self, kernel, network, net_costs):
+        hub = network.add_hub("lossy", 1e7, 1e-4, 38, loss_rate=0.2, seed=5)
+        a = network.add_node("a")
+        b = network.add_node("b")
+        a.attach(hub)
+        b.attach(hub)
+        deliveries = []
+
+        def server(k):
+            stream = yield StreamListener(b, net_costs, 80).accept()
+            while True:
+                try:
+                    payload, _ = yield stream.recv()
+                except ConnectionClosed:
+                    return
+                deliveries.append((payload, k.now))
+
+        def client(k):
+            stream = yield StreamSocket.connect(a, net_costs, b.address, 80)
+            for i in range(24):
+                yield from stream.send_inline(i, 500 + 900 * (i % 3))
+            yield from stream.drained_wait()
+            drained_at = k.now
+            # Close with a segment in flight: its armed retransmit timer
+            # dies with the stream but still bounds the run's clock.
+            yield from stream.send_inline("last", 300)
+            stream.close()
+            return stream, drained_at
+
+        kernel.process(server(kernel))
+        stream, drained_at = kernel.run_process(client(kernel))
+        kernel.run()
+        assert [payload for payload, _ in deliveries] == list(range(24)) + ["last"]
+        assert [at for _, at in deliveries] == self.DELIVERED_AT
+        assert stream.retransmissions == 114
+        assert drained_at == 1.583514400000001
+        assert kernel.now == 1.834934400000001
+
+    def test_dead_peer_fails_after_max_retries(self, kernel, lan, net_costs):
+        _, a, b = lan
+        StreamListener(b, net_costs, 80)
+
+        def client(k):
+            stream = yield StreamSocket.connect(a, net_costs, b.address, 80)
+            b.set_up(False)
+            stream.send("lost", 1000)
+            try:
+                yield stream.drained()
+            except ConnectionClosed as exc:
+                return str(exc), k.now, stream.retransmissions
+
+        assert kernel.run_process(client(kernel)) == (
+            "too many retransmissions", 5.2520448, StreamSocket.MAX_RETRIES
+        )
+        kernel.run()
+        assert kernel.now == 5.2520448
+
+
 class TestDrainedWait:
     """The reusable drain barrier (`drained_wait`) behind batched senders."""
 
