@@ -12,7 +12,9 @@ paper's *shape*: orderings, ratios and crossovers -- not absolute values.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+import gc
+import time
+from typing import Callable, List, Sequence
 
 import pytest
 
@@ -30,6 +32,26 @@ def report(title: str, headers: Sequence[str], rows: List[Sequence]) -> str:
     text = "\n".join(lines)
     print("\n" + text + "\n")
     return text
+
+
+def timed_without_gc(func: Callable[[], object]) -> float:
+    """Time one call, in seconds, with the garbage collector out of the
+    way.
+
+    A full collection runs first, so garbage left by earlier work is
+    freed before the timer starts and cannot be reused by the timed
+    call; the collector then stays disabled for the call, so no
+    collection lands inside it."""
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        start = time.perf_counter()
+        func()
+        return time.perf_counter() - start
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @pytest.fixture

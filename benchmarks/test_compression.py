@@ -25,7 +25,6 @@ Writes ``BENCH_compression.json`` at the repository root.  Four legs:
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -44,6 +43,8 @@ from repro.core.shard import (
 from repro.core.translator import Translator
 from repro.core.runtime import UMiddleRuntime
 from repro.testbed import build_testbed
+
+from conftest import timed_without_gc
 
 OUTPUT = Path(__file__).resolve().parents[1] / "BENCH_compression.json"
 
@@ -144,12 +145,13 @@ def offline_runtime(bed, host: str, **kwargs) -> UMiddleRuntime:
 
 
 def ingest_seconds(frame, bed, host: str) -> float:
-    """Cold-ingest one full-state frame: decode plus flat apply."""
+    """Cold-ingest one full-state frame: decode plus flat apply.  Timed
+    without GC: an earlier ingest's receiver is collected first, so its
+    interned profiles cannot make this one warm."""
     receiver = offline_runtime(bed, host)
-    start = time.perf_counter()
-    payload = decode_gossip(frame)
-    receiver.directory._apply_announcement(payload)
-    elapsed = time.perf_counter() - start
+    elapsed = timed_without_gc(
+        lambda: receiver.directory._apply_announcement(decode_gossip(frame))
+    )
     assert len(receiver.directory.profiles()) == FULL_STATE_TRANSLATORS
     return elapsed
 

@@ -846,20 +846,30 @@ class Directory:
                 self.codec_frames_sent += 1
         else:
             size = self._estimate_size(profiles, removed, changed)
-        if to is None:
-            self._socket.send_multicast(payload, size, DIRECTORY_GROUP, self.port)
-            for peer, port in self._peers.items():
-                self._socket.sendto(payload, size, peer, port)
-        else:
-            for address, port in to:
-                self._socket.sendto(payload, size, address, port)
+        self._send_to(payload, size, to)
         self.announcements_sent += 1
 
-    def _request_full_state(self, address: Address, port: int) -> None:
+    def _send_to(self, payload, size: int, to: Optional[List]) -> None:
+        """Unicast to each ``(address, port)`` in ``to``; ``None`` reaches
+        every live peer: the multicast group plus each entry of
+        ``_peers`` (explicitly federated peers, and learned ones)."""
+        if to is None:
+            self._socket.send_multicast(payload, size, DIRECTORY_GROUP, self.port)
+            to = list(self._peers.items())
+        for address, port in to:
+            self._socket.sendto(payload, size, address, port)
+
+    def request_full_state(self, to: Optional[List] = None) -> None:
+        """Ask for a unicast full announcement: from the peers in ``to``
+        (digest mismatch, version gap), or with ``to=None`` from every
+        live peer -- the multicast group plus each explicitly federated
+        peer.  A restarted runtime sends the latter once, so it re-learns
+        the federation within one round trip instead of one heartbeat per
+        peer."""
         if self._socket is None or self._socket.closed:
             return
         payload = {"kind": "umiddle-directory-request", "runtime": self._origin_block()}
-        self._socket.sendto(payload, CONTROL_OVERHEAD, address, port)
+        self._send_to(payload, CONTROL_OVERHEAD, to)
         self.full_requests_sent += 1
 
     def _announcer(self) -> Generator:
@@ -878,6 +888,10 @@ class Directory:
         socket = self._socket
         while socket is not None and not socket.closed:
             yield kernel.timeout(SWEEP_INTERVAL)
+            if socket.closed:
+                # Stopped or crashed during the wait: a restart runs its
+                # own sweeper, whose first tick is SWEEP_INTERVAL after it.
+                return
             deadline = kernel.now - LEASE
             lost_any = False
             for runtime_id, info in list(self._runtimes.items()):
@@ -993,7 +1007,7 @@ class Directory:
             # Lease refresh is the runtime-info update above (the sweeper
             # consults owner liveness); state only moves on mismatch.
             if peer is None or digest is None or peer.digest != digest:
-                self._request_full_state(address, directory_port)
+                self.request_full_state([(address, directory_port)])
         elif payload["full"]:
             if peer is not None and digest is not None and peer.digest == digest:
                 if version is not None:
@@ -1018,7 +1032,7 @@ class Directory:
                 self._peer_states[runtime_id] = _PeerState(
                     version=version or 0, digest=None
                 )
-                self._request_full_state(address, directory_port)
+                self.request_full_state([(address, directory_port)])
 
         load = payload.get("shard_load")
         if load is not None:

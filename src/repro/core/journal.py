@@ -241,6 +241,10 @@ class RecoveredState:
     shard_entries: Dict[str, dict] = field(default_factory=dict)
     #: shard ids this node owned at its last ownership transition.
     shard_owned: List[int] = field(default_factory=list)
+    #: runtime ids of the shard map's membership view at that transition
+    #: (empty from blobs that predate them): the view a recovered router
+    #: routes on until its peers have announced again.
+    shard_members: List[str] = field(default_factory=list)
     #: str(shard) -> {"entries": {translator_id: profile dict}}
     #: for the passive replica slices this node holds for its peers.
     replica_slices: Dict[str, dict] = field(default_factory=dict)
@@ -497,6 +501,8 @@ class Journal:
             data["shard_entries"] = mirror.shard_entries
         if mirror.shard_owned:
             data["shard_owned"] = mirror.shard_owned
+        if mirror.shard_members:
+            data["shard_members"] = mirror.shard_members
         if mirror.replica_slices:
             data["replica_slices"] = mirror.replica_slices
         # Same discipline for saga state: the fields appear only once
@@ -626,6 +632,7 @@ class Journal:
                     del state.shard_entries[translator_id]
         elif kind == "shard-own":
             state.shard_owned = list(data["owned"])
+            state.shard_members = list(data.get("members", ()))
         elif kind == "shard-replica":
             slice_ = state.replica_slices.setdefault(
                 str(data["shard"]), {"entries": {}}
@@ -761,6 +768,7 @@ class Journal:
                 for key, value in data.get("shard_entries", {}).items()
             }
             state.shard_owned = list(data.get("shard_owned", ()))
+            state.shard_members = list(data.get("shard_members", ()))
             state.replica_slices = {
                 key: {
                     "entries": {

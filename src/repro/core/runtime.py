@@ -211,11 +211,14 @@ class UMiddleRuntime:
 
     def restart(self) -> None:
         """Warm restart from :meth:`crash`: reopen the transport and
-        directory (which immediately re-advertises the full local state),
-        resume platform discovery, and re-evaluate standing query bindings.
-        Application paths torn down by the crash are recorded as closed in
-        the journal -- a warm restart does not resurrect them, so a later
-        cold restart must not either."""
+        directory (which immediately re-advertises the full local state
+        and asks every live peer to announce itself, so the federation is
+        re-learned within one round trip), resume platform discovery, and
+        re-evaluate standing query bindings.  The shard router keeps the
+        membership view it had before the crash and rebalances once, when
+        its peers have answered.  Application paths torn down by the crash
+        are recorded as closed in the journal -- a warm restart does not
+        resurrect them, so a later cold restart must not either."""
         if not self.crashed:
             return
         self.crashed = False
@@ -223,9 +226,7 @@ class UMiddleRuntime:
         self.journal.muted = False
         for path_id in self.transport.drain_orphaned_paths():
             self.journal.append("path-close", {"path_id": path_id})
-        self.transport.start()
-        self.directory.start()
-        self.shards.start()
+        self._rejoin()
         for mapper in list(self.mappers):
             mapper.resume()
         for binding in list(self._bindings):
@@ -245,14 +246,18 @@ class UMiddleRuntime:
         sequence counters, the unacked spool and half-open breakers,
         restarts the modules, re-opens standing query bindings under their
         journaled ids, and recreates application paths under their
-        original ids.  Anything past the consistent prefix -- or remote
-        soft state, which is never journaled -- is re-learned through the
-        normal gossip pull.  Recovery ends with a journal checkpoint, so
-        the durable view matches the rebuilt runtime exactly (skipped
-        opaque spool markers included) and a second replay starts from one
-        compact record.  With the journal disabled -- or after a *warm*
-        crash, whose in-memory state survived and must not have the log
-        replayed on top of it -- this degrades to :meth:`restart`."""
+        original ids.  The shard router routes on the membership view
+        journaled with its last ``shard-own`` record (member ids only)
+        from the moment this returns.  Peer addresses and leases are never
+        journaled: every live peer is asked to announce itself at once,
+        and the router rebalances once when they have.  Anything past the
+        consistent prefix is re-learned through the normal gossip pull.
+        Recovery ends with a journal checkpoint, so the durable view
+        matches the rebuilt runtime exactly (skipped opaque spool markers
+        included) and a second replay starts from one compact record.
+        With the journal disabled -- or after a *warm* crash, whose
+        in-memory state survived and must not have the log replayed on
+        top of it -- this degrades to :meth:`restart`."""
         if not self.crashed:
             return
         if not self.journal.enabled or not self._cold_crashed:
@@ -277,9 +282,7 @@ class UMiddleRuntime:
         self.shards.recover(state)
         self.sagas.recover(state)
         self.journal.muted = False
-        self.transport.start()
-        self.directory.start()
-        self.shards.start()
+        self._rejoin()
         for mapper in list(self.mappers):
             mapper.resume()
         for binding_id, data in state.bindings.items():
@@ -318,6 +321,12 @@ class UMiddleRuntime:
             f"{len(state.shard_entries)} shard-stored profile(s), "
             f"{len(state.sagas)} unfinished saga(s)",
         )
+
+    def _rejoin(self) -> None:
+        """Reopen the modules after a crash and ask every live peer to
+        announce itself (the first start sends no such request)."""
+        self.start()
+        self.directory.request_full_state()
 
     def _recover_port(
         self, ref_str: str

@@ -38,7 +38,12 @@ a network round-trip) and accounts the traffic in counters
 Durability: every owner-side store mutation and ownership transition is
 journaled (``shard-store``/``shard-remove``/``shard-drop``/``shard-own``
 records), so :meth:`UMiddleRuntime.recover` rebuilds a crashed owner's
-shards byte-equivalently from the write-ahead log.
+shards byte-equivalently from the write-ahead log.  ``shard-own`` also
+names the members of the view it was computed from: a restarted router
+routes on that view at once, rebalances once when its peers have
+announced again, re-sends its standing-query interest to every owner,
+and tells each peer what it holds of that peer's placements, so the peer
+re-sends what was lost while it was down (its interest included).
 
 Replication (:mod:`repro.core.replica`, PR 9): with
 ``UMiddleRuntime(replication_factor=R)`` for R > 1, each shard is also
@@ -281,6 +286,9 @@ class ShardMap:
         #: (the default) keeps the plain rendezvous sweep byte for byte;
         #: non-empty biases the assignment via the weighted sweep.
         self.load_tiers: Dict[int, int] = {}
+        #: shard -> :meth:`owners_ranked` under this view, filled on demand
+        #: (every replica frame asks again for the shards it carries).
+        self._ranked: Dict[int, Tuple[str, ...]] = {}
 
     def _load_key(self) -> Tuple[Tuple[int, int], ...]:
         return tuple(sorted(self.load_tiers.items()))
@@ -292,6 +300,7 @@ class ShardMap:
             return False
         self.members = ordered
         self.version += 1
+        self._ranked = {}
         self._table = (
             _owner_table(ordered, self.shard_count, self._load_key())
             if ordered
@@ -315,6 +324,7 @@ class ShardMap:
             return False
         self.load_tiers = cleaned
         self.version += 1
+        self._ranked = {}
         if self.members:
             self._table = _owner_table(
                 self.members, self.shard_count, self._load_key()
@@ -332,6 +342,9 @@ class ShardMap:
         weighted placement the assigned owner leads regardless of its raw
         weight, so replica selection (ranks 1..R-1) and failover stay
         consistent with the table."""
+        cached = self._ranked.get(shard)
+        if cached is not None:
+            return list(cached)
         ranked = sorted(
             self.members,
             key=lambda member: _weight(_member_seed(member), shard),
@@ -342,6 +355,7 @@ class ShardMap:
             if owner in ranked and ranked[0] != owner:
                 ranked.remove(owner)
                 ranked.insert(0, owner)
+        self._ranked[shard] = tuple(ranked)
         return ranked
 
     def owned_by(self, member: str) -> FrozenSet[int]:
@@ -614,6 +628,14 @@ class ShardRouter:
         #: True between start() and deactivate(): the router is reachable
         #: through the fabric and reacts to membership changes.
         self.active = False
+        #: True from a restart until the kept view is confirmed: every
+        #: member of it has announced again, or the directory's first
+        #: sweep tick passed.  Rebalancing waits for that.
+        self._rejoining = False
+        #: After a restart, the peers this node has told what it holds of
+        #: their placements (see :meth:`_report_holdings`); None after a
+        #: first start and once a lease has passed since the restart.
+        self._reported: Optional[Set[str]] = None
         self._started_at = 0.0
         self._owned: FrozenSet[int] = frozenset()
         #: stored-but-unowned shard -> first time we noticed (sweep ages
@@ -766,9 +788,13 @@ class ShardRouter:
         """Adopt a changed merged load view: journal a new weight epoch
         (placement must replay deterministically across cold recovery),
         re-place, and rebalance through the normal ownership machinery
-        (journaled transitions, warm-ingest handoff, re-push)."""
+        (journaled transitions, warm-ingest handoff, re-push).  Waits
+        while a rejoin is open: the table must not move under a view that
+        is still being confirmed."""
         now = self.runtime.kernel.now
-        if now - self._last_weight_change < WEIGHT_REBALANCE_INTERVAL:
+        if self._rejoining or (
+            now - self._last_weight_change < WEIGHT_REBALANCE_INTERVAL
+        ):
             return
         merged = self._merged_tiers()
         if merged == self.map.load_tiers:
@@ -858,10 +884,18 @@ class ShardRouter:
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> None:
+        """Activate.  A first start builds the map from whatever the
+        directory knows.  A restart finds the view it had before the crash
+        (kept in memory, or rebuilt by :meth:`recover` from the journal)
+        and routes on it while the peers answer the runtime's request to
+        announce; :meth:`membership_changed` rebalances once, when the
+        rejoin completes."""
         if not self.enabled or self.active:
             return
         self.active = True
         self._started_at = self.runtime.kernel.now
+        self._rejoining = bool(self.map.members)
+        self._reported = set() if self._rejoining else None
         shard_fabric(self.runtime.network).register(self)
         self.membership_changed(force=True)
 
@@ -872,8 +906,10 @@ class ShardRouter:
         shard_fabric(self.runtime.network).deregister(self)
 
     def discard_state(self) -> None:
-        """Cold-crash semantics: the store, caches and interest tables are
-        in-memory state and die with the process."""
+        """Cold-crash semantics: the map, store, caches and interest
+        tables are in-memory state and die with the process; the view a
+        recovery routes on comes from the journal only."""
+        self.map.rebuild(())
         self.store.clear()
         self._cache.clear()
         self._interest.clear()
@@ -909,6 +945,10 @@ class ShardRouter:
                     ).items()
                 }
             )
+        # The membership view the node crashed with (empty from a journal
+        # that predates member ids): lookups route on it from the moment
+        # recovery returns, and start() keeps it until the rejoin ends.
+        self.map.rebuild(state.shard_members)
         for entry in state.shard_entries.values():
             profile = TranslatorProfile.from_dict(entry["profile"])
             self.store.store(profile, entry["shards"])
@@ -931,25 +971,49 @@ class ShardRouter:
 
     # -- membership / rebalancing ------------------------------------------
 
-    def membership_changed(self, force: bool = False) -> None:
+    def membership_changed(
+        self, force: bool = False, rejoin_due: bool = False
+    ) -> None:
         """Recompute the shard map from the directory's membership view and
         reconcile: journal the ownership transition, drop shards that moved
         away, re-place local profiles with the current owners, and re-route
-        standing-query interest."""
+        standing-query interest.
+
+        During a rejoin (see :meth:`start`) arrivals only accumulate in the
+        directory: the map stays on the kept view until every member of it
+        has announced again (or ``rejoin_due``: the first sweep tick), and
+        then rebalances once and re-sends every standing query's interest
+        to each of its owners.  Interest registered during the rejoin never
+        reached a peer whose address was still unknown, and a peer that
+        expired this node (or gave up on its transport) has dropped the
+        rest."""
         if not self.enabled or not self.active:
             return
         members = set(self.directory._runtimes)
         members.add(self.runtime_id)
+        rejoined = self._rejoining
+        if rejoined:
+            if not (rejoin_due or members.issuperset(self.map.members)):
+                return
+            self._rejoining = False
+            force = True
         changed = self.map.rebuild(members)
         if not changed and not force:
             return
         self.rebalances += 1
         old_owned = self._owned
         self._owned = self.map.owned_by(self.runtime_id)
-        if self._owned != old_owned:
+        if changed or self._owned != old_owned:
+            # The member ids ride along so a cold recovery can route on
+            # the same view (addresses come from the peers' announcements).
             self.runtime.journal.append(
-                "shard-own", {"owned": sorted(self._owned)}
+                "shard-own",
+                {
+                    "owned": sorted(self._owned),
+                    "members": list(self.map.members),
+                },
             )
+        if self._owned != old_owned:
             # Shards we held and conclusively lost drop right away (their
             # new owner is being pushed the same profiles by every
             # origin); sender-directed placements we never owned are aged
@@ -980,10 +1044,37 @@ class ShardRouter:
         if self.replicated:
             self._reconcile_replica_role()
         self._push_local_profiles()
-        self._reroute_subscriptions()
+        self._reroute_subscriptions(fresh=rejoined)
         if self.replicated:
             self._sync_replicas()
             self._request_replica_sync()
+        if self._reported is not None:
+            self._report_holdings()
+
+    def _report_holdings(self) -> None:
+        """After a restart, tell each peer in the view, once, which of its
+        profiles this node holds on its owned shards (ids plus one
+        content digest).  Placements and removals the peer sent while
+        this node was down were lost, and with this node's lease
+        unexpired no membership change makes the peer re-send them (nor
+        its standing-query interest); :meth:`_handle_holdings` repairs
+        exactly the origins that differ, and re-subscribes."""
+        for peer in self.map.members:
+            if peer == self.runtime_id or peer in self._reported:
+                continue
+            self._reported.add(peer)
+            held = {
+                tid: self.store.profile_of(tid)
+                for tid in self.store.tids_of_origin(peer)
+                if self._owned.intersection(self.store.placements_of(tid))
+            }
+            payload = {
+                "kind": "umiddle-shard-holdings",
+                "origin": self.runtime_id,
+                "ids": sorted(held),
+                "digest": slice_digest(held),
+            }
+            self._send(payload, 104 + sum(len(t) + 4 for t in held), peer)
 
     def _warm_ingest(self, gained: Iterable[int]) -> None:
         """Promote local replica slices of newly-owned shards straight
@@ -1241,6 +1332,11 @@ class ShardRouter:
             return
         from repro.core.directory import LEASE
 
+        if self._rejoining:
+            # The first sweep tick after a restart closes the rejoin:
+            # members of the kept view that have not announced again by
+            # now are gone, and the one rebalance moves their shards.
+            self.membership_changed(rejoin_due=True)
         # Age out placements directed at us under a membership view that
         # never materialized here.  A sender whose lease expiry simply
         # fired before ours directs shards we are *about* to inherit, so
@@ -1301,6 +1397,8 @@ class ShardRouter:
                     del self._provisional[origin]
         if self.runtime.kernel.now - self._started_at < LEASE:
             return
+        # Every live peer has announced within a lease of the restart.
+        self._reported = None
         members = set(self.directory._runtimes)
         members.add(self.runtime_id)
         origins = self.store.origins()
@@ -1348,10 +1446,14 @@ class ShardRouter:
             self._place(profiles, complete=True)
 
     def _place(
-        self, profiles: List[TranslatorProfile], complete: bool = False
+        self,
+        profiles: List[TranslatorProfile],
+        complete: bool = False,
+        only: Optional[str] = None,
     ) -> None:
         """Group profiles by owning runtime and push one batched placement
-        message per owner (self-owned shards store directly).
+        message per owner (self-owned shards store directly), or to the
+        owner ``only`` alone.
 
         The push is *sender-directed*: it names the shards each profile is
         being placed under, so an owner whose own membership view lags (it
@@ -1368,6 +1470,8 @@ class ShardRouter:
                     owner = self.runtime_id
                 targets.setdefault(owner, []).append(shard)
             for owner, shards in targets.items():
+                if only is not None and owner != only:
+                    continue
                 batch, shard_lists = per_owner.setdefault(owner, ([], []))
                 batch.append(profile)
                 shard_lists.append(shards)
@@ -1566,18 +1670,22 @@ class ShardRouter:
         if record["count"] > 0:
             return
         del self._subs_out[route_key]
-        payload = {
-            "kind": "umiddle-shard-unsubscribe",
-            "origin": self.runtime_id,
-            "key": list(route_key) if route_key is not None else None,
-        }
+        payload = self._interest_frame("umiddle-shard-unsubscribe", route_key)
         for owner in record["owners"]:
             self._send(payload, 96, owner)
 
+    def _interest_frame(self, kind: str, route_key: Optional[_IndexKey]) -> dict:
+        return {
+            "kind": kind,
+            "origin": self.runtime_id,
+            "key": list(route_key) if route_key is not None else None,
+        }
+
     def _route_subscription(
-        self, route_key: Optional[_IndexKey], record: Dict
+        self, route_key: Optional[_IndexKey], record: Dict, fresh: bool = False
     ) -> None:
-        """(Re)register interest with the key's current owner(s)."""
+        """(Re)register interest with the key's current owner(s): the new
+        ones, or with ``fresh`` every one of them."""
         if route_key is None:
             targets = set(self.map.members) or {self.runtime_id}
         else:
@@ -1589,28 +1697,20 @@ class ShardRouter:
                 targets.add(owner if owner is not None else self.runtime_id)
         stale = record["owners"] - targets
         if stale:
-            payload = {
-                "kind": "umiddle-shard-unsubscribe",
-                "origin": self.runtime_id,
-                "key": list(route_key) if route_key is not None else None,
-            }
+            payload = self._interest_frame("umiddle-shard-unsubscribe", route_key)
             for owner in stale:
                 self._send(payload, 96, owner)
-        for owner in targets - record["owners"]:
+        for owner in targets if fresh else targets - record["owners"]:
             self._send(
-                {
-                    "kind": "umiddle-shard-subscribe",
-                    "origin": self.runtime_id,
-                    "key": list(route_key) if route_key is not None else None,
-                },
+                self._interest_frame("umiddle-shard-subscribe", route_key),
                 96,
                 owner,
             )
         record["owners"] = targets
 
-    def _reroute_subscriptions(self) -> None:
+    def _reroute_subscriptions(self, fresh: bool = False) -> None:
         for route_key, record in self._subs_out.items():
-            self._route_subscription(route_key, record)
+            self._route_subscription(route_key, record, fresh)
 
     def _interest_drop_subscriber(self, runtime_id: str) -> None:
         for key, subscribers in list(self._interest.items()):
@@ -1932,6 +2032,8 @@ class ShardRouter:
             self.removes_received += 1
             for translator_id in payload["ids"]:
                 self._evict(translator_id)
+        elif kind == "umiddle-shard-holdings":
+            self._handle_holdings(origin, payload)
         elif kind == "umiddle-shard-subscribe":
             self._handle_subscribe(origin, payload.get("key"))
         elif kind == "umiddle-shard-unsubscribe":
@@ -1960,6 +2062,11 @@ class ShardRouter:
             if self.replicated:
                 self._handle_digest_reply(origin, payload)
 
+    def _replicates(self, shard: int) -> bool:
+        return self.runtime_id in replicas_of(
+            self.map, shard, self.replication_factor
+        )
+
     def _handle_replica(self, origin: str, payload: dict) -> None:
         """Replica side of the primary's slice stream: apply each pushed
         slice unless the sender is not the shard's current primary under
@@ -1980,6 +2087,11 @@ class ShardRouter:
                         "rejected",
                         shard=shard,
                     )
+                continue
+            if not self._replicates(shard):
+                # A primary whose view is out of date addressed the wrong
+                # replica: a slice kept here would be an orphan that no
+                # anti-entropy round ever compares again.
                 continue
             profile_dicts = entry.get("profiles") or []
             digests = entry.get("digests") or [None] * len(profile_dicts)
@@ -2040,6 +2152,8 @@ class ShardRouter:
             if self.map.owner(shard) != origin:
                 self.fenced_frames += 1
                 continue
+            if not self._replicates(shard):
+                continue
             slice_ = self.replicas.get(shard)
             if slice_ is None:
                 if count:
@@ -2061,6 +2175,39 @@ class ShardRouter:
             64 + 8 * len(mismatched),
             origin,
         )
+
+    def _handle_holdings(self, owner: str, payload: dict) -> None:
+        """Origin side of :meth:`_report_holdings`: have a restarted owner
+        drop what we unregistered while it was down, re-place our profiles
+        on its shards when its copy differs from ours, and register again
+        the standing-query interest we route to it (a cold restart lost
+        its interest table, and nothing else would re-send it)."""
+        for route_key, record in self._subs_out.items():
+            if owner in record["owners"]:
+                self._send(
+                    self._interest_frame("umiddle-shard-subscribe", route_key),
+                    96,
+                    owner,
+                )
+        local = {p.translator_id: p for p in self.directory._local_profiles()}
+        gone = [tid for tid in payload.get("ids", ()) if tid not in local]
+        if gone:
+            self._send(
+                {
+                    "kind": "umiddle-shard-remove",
+                    "origin": self.runtime_id,
+                    "ids": gone,
+                },
+                64 + sum(len(tid) + 4 for tid in gone),
+                owner,
+            )
+        placed = {
+            tid: profile
+            for tid, profile in local.items()
+            if owner in self._owners_of_shards(self.shards_of_profile(profile))
+        }
+        if slice_digest(placed) != payload.get("digest"):
+            self._place(list(placed.values()), only=owner)
 
     def _handle_digest_reply(self, origin: str, payload: dict) -> None:
         """Primary side of anti-entropy: full-sync exactly the shards the

@@ -13,9 +13,11 @@ import random
 
 from repro.chaos import FaultPlan, LinkAsymmetry, random_plan
 from repro.chaos.metrics import RecoveryReport
-from repro.core.directory import LEASE
+from repro.core.directory import LEASE, DirectoryListener
 from repro.core.errors import ShardUnavailable
 from repro.core.journal import replay_blob
+from repro.core.messages import UMessage
+from repro.core.profile import TranslatorProfile
 from repro.core.query import Query
 from repro.core.replica import slice_digest
 from repro.core.translator import Translator
@@ -118,6 +120,36 @@ def assert_replica_coherence(cluster):
                 f"from {owner.runtime_id}: "
                 f"{sorted(slice_.entries)} != {sorted(expected)}"
             )
+
+
+def late_sink(router, origin, owners, received):
+    """A sink translator, for ``origin`` to register later, whose every
+    placement under ``router``'s map lands on a member of ``owners``; its
+    role, platform, device type and input MIME type are its own."""
+    for index in range(4096):
+        sink = Translator(
+            "late-sink",
+            platform=f"late-platform-{index}",
+            device_type=f"urn:late:{index}",
+            role=f"late-role-{index}",
+            translator_id=f"late-sink-{index}",
+        )
+        sink.add_digital_input("data-in", f"text/x-late-{index}", received.append)
+        profile = TranslatorProfile(
+            translator_id=sink.translator_id,
+            name=sink.name,
+            platform=sink.platform,
+            device_type=sink.device_type,
+            role=sink.role,
+            runtime_id=origin.runtime_id,
+            shape=sink.shape,
+        )
+        if all(
+            router.map.owner(shard) in owners
+            for shard in router.shards_of_profile(profile)
+        ):
+            return sink
+    raise AssertionError(f"no sink lands on {sorted(owners)} alone")
 
 
 class TestAvailabilityUnderCrash:
@@ -426,6 +458,186 @@ class TestHandoffAndRecovery:
         assert_all_visible(survivors, ids - victim_local)
         assert_replica_coherence(survivors)
 
+    def _crash_and_rejoin(self, cold):
+        """Crash the last of a settled 4-node cluster for 0.25 s (well
+        inside the lease, so no peer expires it), bring it back, and check
+        that the rejoin costs one round trip and one rebalance that moves
+        nothing."""
+        bed, cluster, ids = build_cluster(["h1", "h2", "h3", "h4"], seed=97)
+        victim = cluster[-1]
+        router = victim.shards
+        peers = {runtime.runtime_id for runtime in cluster[:-1]}
+        view, owned = router.map.members, router._owned
+        assert set(view) == peers | {victim.runtime_id}
+        syncs = sum(r.shards.replica_syncs for r in cluster)
+        fenced = sum(r.shards.fenced_frames for r in cluster)
+        rebalances = router.rebalances
+        last_lsn = victim.journal._lsn
+
+        victim.crash(lose_state=cold)
+        if cold:
+            assert router.map.members == ()  # the view died with the process
+        bed.settle(0.25)
+        if cold:
+            victim.recover()
+        else:
+            victim.restart()
+        # Before any gossip: routing already runs on the view it crashed with.
+        assert router.map.members == view
+        assert router._owned == owned == router.map.owned_by(victim.runtime_id)
+
+        bed.settle(0.01)
+        assert set(victim.directory._runtimes) == peers
+        bed.settle(LEASE + 5.0)
+        assert router.rebalances == rebalances + 1
+        records, _, _ = replay_blob(bytes(victim.journal.blob))
+        if cold:
+            # The chain restarted at recovery's checkpoint.
+            assert records[0]["kind"] == "checkpoint"
+            assert records[0]["data"]["shard_members"] == list(view)
+            last_lsn = 0
+        rejoin_kinds = {r["kind"] for r in records if r["lsn"] > last_lsn}
+        assert "shard-own" not in rejoin_kinds
+        assert sum(r.shards.replica_syncs for r in cluster) == syncs
+        assert sum(r.shards.fenced_frames for r in cluster) == fenced
+        assert_placement_invariant(cluster)
+        assert_all_visible(cluster, ids)
+        assert_replica_coherence(cluster)
+
+    def test_cold_rejoin_is_one_round_trip_and_one_rebalance(self):
+        self._crash_and_rejoin(cold=True)
+
+    def test_warm_rejoin_is_one_round_trip_and_one_rebalance(self):
+        self._crash_and_rejoin(cold=False)
+
+    def test_rejoin_learns_a_peer_that_joined_while_down(self):
+        bed, cluster, ids = build_cluster(["h1", "h2", "h3", "h4"], seed=97)
+        victim = cluster[-1]
+        victim.crash(lose_state=True)
+        joined = bed.add_runtime(
+            "h5", sharding_enabled=True, replication_factor=2
+        )
+        ids |= populate(random.Random(101), [joined], 8, start=1000)
+        bed.settle(0.25)
+        victim.recover()
+        bed.settle(0.01)
+        assert joined.runtime_id in victim.shards.map.members
+        cluster.append(joined)
+        bed.settle(LEASE + 5.0)
+        assert_placement_invariant(cluster)
+        assert_all_visible(cluster, ids)
+        assert_replica_coherence(cluster)
+
+    def test_rejoin_repairs_placements_sent_while_down(self):
+        """A placement and a removal a peer addressed to the victim while
+        it was down were lost, and with the victim's lease unexpired no
+        membership change re-sends them: the rejoin's holdings report
+        must.  Without it the withdrawn profile stays served and the new
+        one stays missing from the victim's shards."""
+        bed, cluster, ids = build_cluster(["h1", "h2", "h3", "h4"], seed=97)
+        victim, origin = cluster[-1], cluster[0]
+        owned = victim.shards._owned
+
+        def lands_on_victim(profile):
+            return bool(origin.shards.shards_of_profile(profile) & owned)
+
+        withdrawn = next(
+            entry.profile
+            for entry in origin.directory._entries.values()
+            if entry.local and lands_on_victim(entry.profile)
+        )
+        victim.crash(lose_state=True)
+        origin.directory.unregister(withdrawn.translator_id)
+        ids.discard(withdrawn.translator_id)
+        added = populate(random.Random(103), [origin], 4, start=2000)
+        assert any(
+            lands_on_victim(origin.directory.profile_of(tid)) for tid in added
+        )
+        ids |= added
+        bed.settle(0.25)
+        victim.recover()
+        bed.settle(LEASE + 5.0)
+        assert withdrawn.translator_id not in victim.shards.store.snapshot()
+        assert_placement_invariant(cluster)
+        assert_all_visible(cluster, ids)
+        assert_replica_coherence(cluster)
+
+    def _restarted_subscriber_hears_a_late_registration(self, cold):
+        """A standing query's interest lives with its key's owners.  Down
+        for longer than a lease, the subscriber is expired and its interest
+        dropped there; the rejoin must register it again, or neither the
+        binding nor the listener hears of a profile added afterwards."""
+        bed, cluster, _ = build_cluster(["h1", "h2", "h3", "h4"], seed=97)
+        victim, host = cluster[-1], cluster[0]
+        received = []
+        # Every placement of the sink lands on a peer, so only the peers'
+        # deltas can tell the victim about it.
+        peers = {runtime.runtime_id for runtime in cluster[:-1]}
+        sink = late_sink(victim.shards, host, peers, received)
+        role = sink.role
+        mime = str(sink.input_port("data-in").mime)
+        source = Translator("late-src", role="sensor")
+        out = source.add_digital_output("data-out", mime)
+        victim.register_translator(source)
+        victim.connect_query(out, Query(role=role))
+        added = []
+        listener = DirectoryListener.from_callbacks(
+            added=lambda p: added.append(p.translator_id)
+        )
+        victim.directory.subscribe_query(Query(role=role), listener)
+        bed.settle(2.0)
+
+        victim.crash(lose_state=cold)
+        bed.settle(LEASE + 5.0)
+        if cold:
+            victim.recover()
+            # The listener was in-memory state; the binding is journaled.
+            victim.directory.subscribe_query(Query(role=role), listener)
+        else:
+            victim.restart()
+        bed.settle(LEASE + 5.0)
+        assert victim.shards.map.members == host.shards.map.members
+
+        host.register_translator(sink)
+        bed.settle(2.0)
+        assert sink.translator_id in added
+        (binding,) = victim._bindings
+        assert binding.bound_translators == [sink.translator_id]
+        out.send(UMessage(mime, "after-the-rejoin", 100))
+        bed.settle(2.0)
+        assert [m.payload for m in received] == ["after-the-rejoin"]
+
+    def test_cold_restarted_subscriber_hears_a_late_registration(self):
+        self._restarted_subscriber_hears_a_late_registration(cold=True)
+
+    def test_warm_restarted_subscriber_hears_a_late_registration(self):
+        self._restarted_subscriber_hears_a_late_registration(cold=False)
+
+    def test_cold_restarted_owner_keeps_its_subscribers(self):
+        """A cold restart empties an owner's interest table, and inside
+        the lease no subscriber sees a membership change that would make
+        it subscribe again: the rejoin's holdings report must, or the
+        subscriber never hears of a profile placed on that owner alone."""
+        bed, (subscriber, owner), _ = build_cluster(
+            ["h1", "h2"], replication_factor=1, profiles=8
+        )
+        sink = late_sink(owner.shards, owner, {owner.runtime_id}, [])
+        added = []
+        subscriber.directory.subscribe_query(
+            Query(role=sink.role),
+            DirectoryListener.from_callbacks(
+                added=lambda p: added.append(p.translator_id)
+            ),
+        )
+        bed.settle(2.0)
+        owner.crash(lose_state=True)
+        bed.settle(0.25)
+        owner.recover()
+        bed.settle(2.0)
+        owner.register_translator(sink)
+        bed.settle(2.0)
+        assert added == [sink.translator_id]
+
     def test_replica_slices_survive_a_cold_crash(self):
         bed, cluster, ids = build_cluster(
             ["h1", "h2", "h3"], seed=89, profiles=24
@@ -452,10 +664,11 @@ class TestHandoffAndRecovery:
         subject.crash(lose_state=True)
         assert subject.shards.replicas.profile_count == 0  # really gone
         subject.recover()
-        # The journal restored every peer-origin replicated profile: under
-        # the self-only recovery view the router owns everything, so
-        # slices are warm-ingested straight into the store -- either way
-        # the profile survived the crash on this node, before any gossip.
+        # The journal restored every peer-origin replicated profile: the
+        # recovered router routes on the view it crashed with, so the
+        # profiles are back in its replica slices (or, for an entry also
+        # placed on a shard it owns, in its store) -- either way the
+        # profile survived the crash on this node, before any gossip.
         held = set(subject.shards.store.snapshot())
         still_replica = {
             tid

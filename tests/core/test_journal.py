@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from repro.core.directory import LEASE
 from repro.core.journal import (
     DurableMedia,
     Journal,
@@ -15,6 +16,11 @@ from repro.core.journal import (
 )
 from repro.testbed import build_testbed
 
+from tests.chaos.test_shard_churn import (
+    assert_all_visible,
+    assert_placement_invariant,
+    populate,
+)
 from tests.core.test_directory_index import random_profile
 
 
@@ -408,6 +414,92 @@ class TestReplaySemantics:
         data = records[0]["data"]
         assert "shard_epoch" not in data
         assert data["replica_slices"] == state.replica_slices
+
+
+    def test_shard_members_replay_and_blobs_without_them(self):
+        """``shard-own`` records and checkpoints carry the shard map's
+        member ids.  A blob written before they did replays to the same
+        state as before, with no members (so recovery starts from a
+        self-only view); a later record without them clears the view."""
+        checkpoint = {
+            "registered": {},
+            "bindings": {},
+            "paths": {},
+            "spool": {},
+            "stream_seqs": {},
+            "breakers": {},
+            "shard_owned": [3, 7],
+        }
+        members = ["rt-h1", "rt-h2", "rt-h3"]
+        old = self.apply(
+            ("checkpoint", checkpoint), ("shard-own", {"owned": [7]})
+        )
+        new = self.apply(
+            ("checkpoint", dict(checkpoint, shard_members=members)),
+            ("shard-own", {"owned": [7], "members": members}),
+        )
+        assert old.shard_owned == new.shard_owned == [7]
+        assert old.shard_members == [] and new.shard_members == members
+        assert vars(new) == dict(vars(old), shard_members=members)
+        assert self.apply(("checkpoint", checkpoint)).shard_members == []
+        cleared = self.apply(
+            ("shard-own", {"owned": [7], "members": members}),
+            ("shard-own", {"owned": [3]}),
+        )
+        assert cleared.shard_members == []
+
+    @staticmethod
+    def _recover_sharded(strip_members):
+        """Cold-crash and recover the last runtime of a settled 3-node
+        replicated cluster, optionally after rewriting its blob the way a
+        journal without member ids would have written it.  Returns the
+        recovered view before any gossip and every store once settled."""
+        bed = build_testbed(hosts=["h1", "h2", "h3"])
+        cluster = [
+            bed.add_runtime(host, sharding_enabled=True, replication_factor=2)
+            for host in ("h1", "h2", "h3")
+        ]
+        ids = populate(random.Random(31), cluster[:-1], 24)
+        bed.settle(LEASE + 5.0)
+        victim = cluster[-1]
+        victim.crash(lose_state=True)
+        if strip_members:
+            blob = victim.journal.blob
+            records = records_of(blob)
+            del blob[:]
+            for record in records:
+                data = dict(record["data"])
+                data.pop("members", None)  # shard-own
+                data.pop("shard_members", None)  # checkpoint
+                blob.extend(encode_record(record["lsn"], record["kind"], data))
+            assert Journal(victim, victim.journal.media).replay().shard_members == []
+        bed.settle(0.25)
+        victim.recover()
+        view = victim.shards.map.members
+        bed.settle(LEASE + 5.0)
+        assert_placement_invariant(cluster)
+        assert_all_visible(cluster, ids)
+        return view, {r.runtime_id: r.shards.store.snapshot() for r in cluster}
+
+    def test_recovery_without_members_converges_to_the_same_placement(self):
+        kept_view, kept = self._recover_sharded(strip_members=False)
+        old_view, old = self._recover_sharded(strip_members=True)
+        assert kept_view == ("rt-h1", "rt-h2", "rt-h3")
+        assert old_view == ("rt-h3",)  # today's self-only recovery view
+        assert old == kept
+
+    def test_checkpoint_round_trips_shard_members(self):
+        bed = build_testbed(hosts=["h1", "h2"])
+        runtimes = [
+            bed.add_runtime(host, sharding_enabled=True) for host in ("h1", "h2")
+        ]
+        bed.settle(2.0)
+        journal = runtimes[0].journal
+        journal.checkpoint()
+        records = records_of(journal.blob)
+        assert [r["kind"] for r in records] == ["checkpoint"]
+        assert records[0]["data"]["shard_members"] == ["rt-h1", "rt-h2"]
+        assert journal.replay().shard_members == ["rt-h1", "rt-h2"]
 
 
 class TestAmortizedSpoolRecords:
