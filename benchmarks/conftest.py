@@ -13,6 +13,7 @@ paper's *shape*: orderings, ratios and crossovers -- not absolute values.
 from __future__ import annotations
 
 import gc
+import statistics
 import time
 from typing import Callable, List, Sequence
 
@@ -52,6 +53,25 @@ def timed_without_gc(func: Callable[[], object]) -> float:
     finally:
         if enabled:
             gc.enable()
+
+
+def interleaved_medians(
+    arms: Sequence[Callable[[], Callable[[], object]]], repeats: int = 5
+) -> List[float]:
+    """The median seconds of each arm's timed call over ``repeats``
+    rounds, the arms alternating within every round.
+
+    An arm is a set-up: called untimed, it returns the call to time (a
+    cold ingest needs a fresh receiver each time).  Alternating spreads
+    host noise that drifts during the run over every arm alike, the
+    median discards a round that a noise burst hit, and each call is
+    timed by :func:`timed_without_gc`, so the previous call's garbage is
+    freed before it starts."""
+    samples: List[List[float]] = [[] for _ in arms]
+    for _round in range(repeats):
+        for arm, seconds in zip(arms, samples):
+            seconds.append(timed_without_gc(arm()))
+    return [statistics.median(seconds) for seconds in samples]
 
 
 @pytest.fixture

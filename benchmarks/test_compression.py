@@ -11,7 +11,8 @@ Writes ``BENCH_compression.json`` at the repository root.  Four legs:
 - **Compressed full-state** -- a 25k-translator directory full-state
   announcement through ``FRAME_GOSSIP_Z`` (zlib block compression)
   versus the plain codec frame.  Gates: compressed bytes <= 0.5x plain,
-  and cold-ingest (decode + apply) <= 1.1x the uncompressed ingest.
+  and cold-ingest (decode + apply) <= 1.1x the uncompressed ingest, as
+  the medians of alternating cold ingests.
 - **Load-weighted placement** -- a zipf-hot-key workload placed by the
   plain rendezvous sweep versus the load-weighted sweep fed from the
   same per-shard tier quantization the router announces.  Gate: the
@@ -24,9 +25,11 @@ Writes ``BENCH_compression.json`` at the repository root.  Four legs:
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import replace
 from pathlib import Path
+from typing import List
 
 from repro.calibration import DEFAULT
 from repro.core.codec import WireDecoder, WireEncoder, decode_gossip, encode_gossip
@@ -44,7 +47,7 @@ from repro.core.translator import Translator
 from repro.core.runtime import UMiddleRuntime
 from repro.testbed import build_testbed
 
-from conftest import timed_without_gc
+from conftest import interleaved_medians
 
 OUTPUT = Path(__file__).resolve().parents[1] / "BENCH_compression.json"
 
@@ -110,6 +113,9 @@ def bench_delta_batches() -> dict:
 
 
 FULL_STATE_TRANSLATORS = 25_000
+#: Rounds of the alternating plain/compressed cold ingests; the gate
+#: compares their medians.
+INGEST_REPEATS = 5
 
 PLATFORMS = ("upnp", "jini", "bluetooth", "motes", "webservices")
 ROLES = ("display", "sensor", "printer", "player", "storage")
@@ -144,16 +150,24 @@ def offline_runtime(bed, host: str, **kwargs) -> UMiddleRuntime:
     )
 
 
-def ingest_seconds(frame, bed, host: str) -> float:
-    """Cold-ingest one full-state frame: decode plus flat apply.  Timed
-    without GC: an earlier ingest's receiver is collected first, so its
-    interned profiles cannot make this one warm."""
-    receiver = offline_runtime(bed, host)
-    elapsed = timed_without_gc(
-        lambda: receiver.directory._apply_announcement(decode_gossip(frame))
-    )
-    assert len(receiver.directory.profiles()) == FULL_STATE_TRANSLATORS
-    return elapsed
+def ingest_arm(frame, bed, host: str, sizes: List[int]):
+    """Set-up of one cold ingest of a full-state frame (decode plus flat
+    apply) into a fresh receiver, for :func:`interleaved_medians`; each
+    ingest appends the receiver's directory size to ``sizes``.  The
+    previous receiver is collected before the timer starts, so its
+    interned profiles cannot make this ingest warm."""
+    hosts = itertools.count()
+
+    def setup():
+        receiver = offline_runtime(bed, f"{host}-{next(hosts)}")
+
+        def ingest():
+            receiver.directory._apply_announcement(decode_gossip(frame))
+            sizes.append(len(receiver.directory.profiles()))
+
+        return ingest
+
+    return setup
 
 
 def bench_full_state() -> dict:
@@ -174,10 +188,18 @@ def bench_full_state() -> dict:
     packed = encode_gossip(payload, compress=True)
     assert decode_gossip(packed) == decode_gossip(plain)
 
-    plain_s = ingest_seconds(plain, bed, "ingest-plain")
-    packed_s = ingest_seconds(packed, bed, "ingest-z")
+    sizes: List[int] = []
+    plain_s, packed_s = interleaved_medians(
+        [
+            ingest_arm(plain, bed, "ingest-plain", sizes),
+            ingest_arm(packed, bed, "ingest-z", sizes),
+        ],
+        repeats=INGEST_REPEATS,
+    )
+    assert sizes == [FULL_STATE_TRANSLATORS] * (2 * INGEST_REPEATS)
     return {
         "translators": FULL_STATE_TRANSLATORS,
+        "ingest_repeats": INGEST_REPEATS,
         "plain_wire_bytes": plain.wire_size,
         "compressed_wire_bytes": packed.wire_size,
         "compressed_ratio": round(packed.wire_size / plain.wire_size, 3),

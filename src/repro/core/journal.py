@@ -496,15 +496,57 @@ class Journal:
             "breakers": mirror.breakers,
         }
         # Shard fields ride the checkpoint only when sharding ever wrote
-        # them, so non-sharded checkpoints stay byte-identical.
+        # them, so non-sharded checkpoints stay byte-identical.  The shard
+        # store and the replica slices often hold the same profile (one
+        # node is primary for some of a profile's shards and replica for
+        # others), so each distinct profile dict is written once, in the
+        # ``profiles`` table, and both sections name it by index: the same
+        # dict object, or else an equal dict for the same translator id.
+        # ``registered`` keeps whole dicts: they are the mirror's own
+        # copies, which ``health`` records mutate.
+        table: List[dict] = []
+        by_identity: Dict[int, int] = {}
+        by_translator: Dict[str, List[int]] = {}
+
+        def ref(profile: dict) -> int:
+            index = by_identity.get(id(profile))
+            if index is None:
+                versions = by_translator.setdefault(profile["translator_id"], [])
+                for known in versions:
+                    if table[known] == profile:
+                        index = known
+                        break
+                else:
+                    index = len(table)
+                    table.append(profile)
+                    versions.append(index)
+                by_identity[id(profile)] = index
+            return index
+
         if mirror.shard_entries:
-            data["shard_entries"] = mirror.shard_entries
+            data["shard_entries"] = {
+                translator_id: {
+                    "profile": ref(entry["profile"]),
+                    "shards": entry["shards"],
+                }
+                for translator_id, entry in mirror.shard_entries.items()
+            }
         if mirror.shard_owned:
             data["shard_owned"] = mirror.shard_owned
         if mirror.shard_members:
             data["shard_members"] = mirror.shard_members
         if mirror.replica_slices:
-            data["replica_slices"] = mirror.replica_slices
+            data["replica_slices"] = {
+                shard_key: {
+                    "entries": {
+                        translator_id: ref(profile)
+                        for translator_id, profile in slice_["entries"].items()
+                    }
+                }
+                for shard_key, slice_ in mirror.replica_slices.items()
+            }
+        if table:
+            data["profiles"] = table
         # Same discipline for saga state: the fields appear only once
         # something wrote them, so saga-off checkpoints stay
         # byte-identical to saga-free builds.
@@ -565,6 +607,9 @@ class Journal:
     @staticmethod
     def _apply(state: RecoveredState, kind: str, data: dict) -> None:
         if kind == "register":
+            # A copy: ``health`` records change registered entries in
+            # place, and the record's dict may be the profile's own
+            # cached wire form.
             profile = data["profile"]
             state.registered[profile["translator_id"]] = dict(profile)
         elif kind == "unregister":
@@ -614,9 +659,12 @@ class Journal:
                 state.stream_seqs.get(stream, 0), int(data["upto"])
             )
         elif kind == "shard-store":
+            # Shard and replica profile dicts are kept, not copied: no
+            # branch mutates them, so the mirror shares the live path's
+            # cached wire forms (and a checkpoint's table entries).
             profile = data["profile"]
             state.shard_entries[profile["translator_id"]] = {
-                "profile": dict(profile),
+                "profile": profile,
                 "shards": list(data["shards"]),
             }
         elif kind == "shard-remove":
@@ -640,7 +688,7 @@ class Journal:
             if data.get("full"):
                 slice_["entries"] = {}
             for profile in data.get("profiles", ()):
-                slice_["entries"][profile["translator_id"]] = dict(profile)
+                slice_["entries"][profile["translator_id"]] = profile
             for translator_id in data.get("removed", ()):
                 slice_["entries"].pop(translator_id, None)
         elif kind == "shard-promote":
@@ -659,7 +707,7 @@ class Journal:
                     entry = state.shard_entries.get(translator_id)
                     if entry is None:
                         state.shard_entries[translator_id] = {
-                            "profile": dict(profile),
+                            "profile": profile,
                             "shards": [int(shard_key)],
                         }
                     elif int(shard_key) not in entry["shards"]:
@@ -760,9 +808,18 @@ class Journal:
                 key: int(value) for key, value in data["stream_seqs"].items()
             }
             state.breakers = dict(data["breakers"])
+            # A checkpoint with a ``profiles`` table names its shard and
+            # replica profiles by index, and they replay as one shared
+            # dict each; a checkpoint without one (every blob written
+            # before the table) holds the dicts inline.  Either way the
+            # dicts come fresh from the decoder, so none is copied.
+            table = data.get("profiles")
+            resolve = (
+                (lambda profile: profile) if table is None else table.__getitem__
+            )
             state.shard_entries = {
                 key: {
-                    "profile": dict(value["profile"]),
+                    "profile": resolve(value["profile"]),
                     "shards": list(value["shards"]),
                 }
                 for key, value in data.get("shard_entries", {}).items()
@@ -772,7 +829,7 @@ class Journal:
             state.replica_slices = {
                 key: {
                     "entries": {
-                        translator_id: dict(profile)
+                        translator_id: resolve(profile)
                         for translator_id, profile in value["entries"].items()
                     },
                 }

@@ -202,34 +202,39 @@ def _weight(seed: int, shard: int) -> int:
     return x ^ (x >> 31)
 
 
-#: Owner tables keyed by (member tuple, shard count, load-tier key).
-#: Every router of a converged federation asks for the identical table,
-#: so the rendezvous sweep runs once per membership view per process.
-_TABLE_CACHE: Dict[
-    Tuple[Tuple[str, ...], int, Tuple[Tuple[int, int], ...]], Tuple[str, ...]
+#: Per membership view -- (member tuple, shard count, load-tier key) --
+#: the owner table and the shard -> :meth:`ShardMap.owners_ranked`
+#: rankings, filled on demand.  Every router of a converged federation
+#: asks for the identical view, so the rendezvous sweep and each ranking
+#: run once per view per process.
+_VIEW_CACHE: Dict[
+    Tuple[Tuple[str, ...], int, Tuple[Tuple[int, int], ...]],
+    Tuple[Tuple[str, ...], Dict[int, Tuple[str, ...]]],
 ] = {}
 
 
-def _owner_table(
+def _view(
     members: Tuple[str, ...],
     shard_count: int,
-    load_key: Tuple[Tuple[int, int], ...] = (),
-) -> Tuple[str, ...]:
+    load_key: Tuple[Tuple[int, int], ...],
+) -> Tuple[Tuple[str, ...], Dict[int, Tuple[str, ...]]]:
     cache_key = (members, shard_count, load_key)
-    table = _TABLE_CACHE.get(cache_key)
-    if table is None:
+    view = _VIEW_CACHE.get(cache_key)
+    if view is None:
         seeds = [(_member_seed(member), member) for member in members]
-        if not load_key:
+        if not seeds:
+            table = ()
+        elif not load_key:
             table = tuple(
                 max(seeds, key=lambda pair: _weight(pair[0], shard))[1]
                 for shard in range(shard_count)
             )
         else:
             table = _weighted_owner_table(seeds, shard_count, load_key)
-        if len(_TABLE_CACHE) > 64:
-            _TABLE_CACHE.clear()
-        _TABLE_CACHE[cache_key] = table
-    return table
+        if len(_VIEW_CACHE) > 64:
+            _VIEW_CACHE.clear()
+        view = _VIEW_CACHE[cache_key] = (table, {})
+    return view
 
 
 def _weighted_owner_table(
@@ -286,8 +291,9 @@ class ShardMap:
         #: (the default) keeps the plain rendezvous sweep byte for byte;
         #: non-empty biases the assignment via the weighted sweep.
         self.load_tiers: Dict[int, int] = {}
-        #: shard -> :meth:`owners_ranked` under this view, filled on demand
-        #: (every replica frame asks again for the shards it carries).
+        #: shard -> :meth:`owners_ranked` under this view, shared with
+        #: every map of the same view (every replica frame asks again for
+        #: the shards it carries).
         self._ranked: Dict[int, Tuple[str, ...]] = {}
 
     def _load_key(self) -> Tuple[Tuple[int, int], ...]:
@@ -300,11 +306,8 @@ class ShardMap:
             return False
         self.members = ordered
         self.version += 1
-        self._ranked = {}
-        self._table = (
-            _owner_table(ordered, self.shard_count, self._load_key())
-            if ordered
-            else ()
+        self._table, self._ranked = _view(
+            ordered, self.shard_count, self._load_key()
         )
         return True
 
@@ -324,11 +327,9 @@ class ShardMap:
             return False
         self.load_tiers = cleaned
         self.version += 1
-        self._ranked = {}
-        if self.members:
-            self._table = _owner_table(
-                self.members, self.shard_count, self._load_key()
-            )
+        self._table, self._ranked = _view(
+            self.members, self.shard_count, self._load_key()
+        )
         return True
 
     def owner(self, shard: int) -> Optional[str]:
@@ -949,15 +950,22 @@ class ShardRouter:
         # that predates member ids): lookups route on it from the moment
         # recovery returns, and start() keeps it until the rejoin ends.
         self.map.rebuild(state.shard_members)
+        # A replayed profile table gives the store and the slices one
+        # shared dict per distinct profile, so each dict is rebuilt (and
+        # digested) once.
+        rebuilt: Dict[int, TranslatorProfile] = {}
+
+        def profile_of(data: dict) -> TranslatorProfile:
+            profile = rebuilt.get(id(data))
+            if profile is None:
+                profile = rebuilt[id(data)] = TranslatorProfile.from_dict(data)
+            return profile
+
         for entry in state.shard_entries.values():
-            profile = TranslatorProfile.from_dict(entry["profile"])
-            self.store.store(profile, entry["shards"])
+            self.store.store(profile_of(entry["profile"]), entry["shards"])
         self._owned = frozenset(state.shard_owned)
         for shard_key, data in state.replica_slices.items():
-            profiles = [
-                TranslatorProfile.from_dict(profile)
-                for profile in data["entries"].values()
-            ]
+            profiles = [profile_of(p) for p in data["entries"].values()]
             self.replicas.apply_store(int(shard_key), profiles, 0.0, full=True)
 
     def seed_members(self, members: Iterable[str]) -> None:
@@ -2104,11 +2112,14 @@ class ShardRouter:
             self.replicas.apply_store(shard, profiles, now, full=full)
             if removed:
                 self.replicas.apply_remove(shard, removed, now)
+            # The applied profiles' own wire dicts (equal to the payload's,
+            # key order included): the journal mirror then shares them
+            # with the live profiles instead of keeping the decoded copies.
             self.runtime.journal.append(
                 "shard-replica",
                 {
                     "shard": shard,
-                    "profiles": profile_dicts,
+                    "profiles": [profile.to_dict() for profile in profiles],
                     "removed": list(removed),
                     "full": full,
                 },

@@ -83,6 +83,22 @@ class TestShardMap:
             assert ranked[0] == shard_map.owner(shard)
             assert sorted(ranked) == sorted(shard_map.members)
 
+    def test_maps_of_one_view_rank_alike_and_hand_out_fresh_lists(self):
+        """Rankings are cached once per view for every map that holds
+        it; each call still returns a list its caller may change."""
+        members = [f"rt-{i}" for i in range(5)]
+        first, second = ShardMap(128), ShardMap(128)
+        first.rebuild(members)
+        second.rebuild(reversed(members))
+        expected = first.owners_ranked(9)
+        ranked = second.owners_ranked(9)
+        assert ranked == expected
+        ranked.reverse()
+        assert first.owners_ranked(9) == second.owners_ranked(9) == expected
+        second.rebuild(members[:-1])
+        assert second.owners_ranked(9) == [m for m in expected if m != "rt-4"]
+        assert first.owners_ranked(9) == expected
+
     def test_key_hashing_is_stable(self):
         key = ("role", "display")
         assert shard_of_key(key, 128) == shard_of_key(key, 128)

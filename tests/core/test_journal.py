@@ -2,6 +2,7 @@
 torn-tail handling, group commit, and replay into RecoveredState."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -413,7 +414,10 @@ class TestReplaySemantics:
         assert [r["kind"] for r in records] == ["checkpoint"]
         data = records[0]["data"]
         assert "shard_epoch" not in data
-        assert data["replica_slices"] == state.replica_slices
+        # The slices name their profiles by index into the checkpoint's
+        # profile table; replayed, they are exactly the slices above.
+        replayed_slices = self.apply(("checkpoint", data)).replica_slices
+        assert replayed_slices == state.replica_slices
 
 
     def test_shard_members_replay_and_blobs_without_them(self):
@@ -500,6 +504,145 @@ class TestReplaySemantics:
         assert [r["kind"] for r in records] == ["checkpoint"]
         assert records[0]["data"]["shard_members"] == ["rt-h1", "rt-h2"]
         assert journal.replay().shard_members == ["rt-h1", "rt-h2"]
+
+    @staticmethod
+    def _journal(media=None):
+        """A binary journal on its own media, outside any runtime."""
+        return Journal(
+            SimpleNamespace(runtime_id="rt-h1"), media or DurableMedia(),
+            binary=True,
+        )
+
+    @staticmethod
+    def _inline_profiles(data):
+        """A table checkpoint rewritten the way a journal without the
+        ``profiles`` table writes it: every profile inline."""
+        table = data["profiles"]
+        legacy = {key: value for key, value in data.items() if key != "profiles"}
+        legacy["shard_entries"] = {
+            tid: {"profile": table[entry["profile"]], "shards": entry["shards"]}
+            for tid, entry in data.get("shard_entries", {}).items()
+        }
+        legacy["replica_slices"] = {
+            shard: {
+                "entries": {
+                    tid: table[index]
+                    for tid, index in slice_["entries"].items()
+                }
+            }
+            for shard, slice_ in data.get("replica_slices", {}).items()
+        }
+        return legacy
+
+    def test_checkpoint_writes_each_shard_profile_once(self):
+        """A profile held in the shard store and in two replica slices is
+        written once, in the checkpoint's ``profiles`` table; a version
+        that differs (here in health) gets its own entry.  The checkpoint
+        replays to the same state as the same content written inline, and
+        the sections share one dict per table entry."""
+        rng = random.Random(11)
+        p1 = random_profile(rng, 1, "rt-h2").to_dict()
+        p2 = random_profile(rng, 2, "rt-h3").to_dict()
+        p2_degraded = dict(p2, health="degraded")
+        t1, t2 = p1["translator_id"], p2["translator_id"]
+        journal = self._journal()
+        journal.append("shard-store", {"profile": p1, "shards": [3]})
+        journal.append("shard-store", {"profile": p2_degraded, "shards": [4]})
+        journal.append(
+            "shard-replica",
+            {"shard": 5, "profiles": [p1, p2], "removed": [], "full": True},
+        )
+        # An equal dict that is another object still shares the entry.
+        journal.append(
+            "shard-replica",
+            {"shard": 9, "profiles": [dict(p1)], "removed": [], "full": True},
+        )
+        journal.checkpoint()
+        [record] = records_of(journal.blob)
+        data = record["data"]
+        assert data["profiles"] == [p1, p2_degraded, p2]
+        assert data["shard_entries"] == {
+            t1: {"profile": 0, "shards": [3]},
+            t2: {"profile": 1, "shards": [4]},
+        }
+        assert data["replica_slices"] == {
+            "5": {"entries": {t1: 0, t2: 2}},
+            "9": {"entries": {t1: 0}},
+        }
+        table_state = self._journal(journal.media).replay()
+        media = DurableMedia()
+        media.blob("rt-h1").extend(
+            encode_record(1, "checkpoint", self._inline_profiles(data), True)
+        )
+        inline_state = self._journal(media).replay()
+        assert vars(table_state) == vars(inline_state)
+        assert table_state.shard_entries[t1]["profile"] == p1
+        slices = table_state.replica_slices
+        assert slices["5"]["entries"][t1] is slices["9"]["entries"][t1]
+        assert slices["5"]["entries"][t1] is table_state.shard_entries[t1]["profile"]
+        assert slices["5"]["entries"][t2] is not table_state.shard_entries[t2]["profile"]
+
+    @pytest.mark.parametrize("inline", [False, True], ids=["table", "inline"])
+    def test_cold_recovery_from_either_checkpoint_layout(self, inline):
+        """A cold crash right after a checkpoint recovers the same shard
+        store and replica slices from a checkpoint with the profile table
+        and from the same checkpoint with every profile inline (the layout
+        of every blob written before the table)."""
+        bed = build_testbed(hosts=["h1", "h2", "h3"])
+        cluster = [
+            bed.add_runtime(host, sharding_enabled=True, replication_factor=2)
+            for host in ("h1", "h2", "h3")
+        ]
+        populate(random.Random(31), cluster[:-1], 24)
+        bed.settle(LEASE + 5.0)
+        victim = cluster[-1]
+        store = victim.shards.store.snapshot()
+        slices = victim.shards.replicas.snapshot()
+        victim.journal.checkpoint()
+        victim.crash(lose_state=True)
+        blob = victim.journal.blob
+        [record] = records_of(blob)
+        data = record["data"]
+        held = len(data["shard_entries"]) + sum(
+            len(slice_["entries"]) for slice_ in data["replica_slices"].values()
+        )
+        assert len(data["profiles"]) < held  # the table shared something
+        if inline:
+            del blob[:]
+            blob.extend(
+                encode_record(1, "checkpoint", self._inline_profiles(data), True)
+            )
+        victim.recover()
+        assert victim.shards.store.snapshot() == store
+        assert victim.shards.replicas.snapshot() == slices
+
+    def test_health_after_a_table_checkpoint_changes_only_registered(self):
+        """``registered`` entries are the mirror's own copies, so a
+        ``health`` record changes them and never the profile dict the
+        shard store and a replica slice share (nor the caller's dict)."""
+        p1 = random_profile(random.Random(13), 1, "rt-h1").to_dict()
+        t1 = p1["translator_id"]
+        journal = self._journal()
+        journal.append("register", {"profile": p1})
+        journal.append("shard-store", {"profile": p1, "shards": [3]})
+        journal.append(
+            "shard-replica",
+            {"shard": 5, "profiles": [p1], "removed": [], "full": True},
+        )
+        journal.checkpoint()
+        state = journal.replay()  # now the journal's live mirror
+        shared = state.shard_entries[t1]["profile"]
+        assert state.replica_slices["5"]["entries"][t1] is shared
+        assert state.registered[t1] is not shared
+        journal.append("health", {"translator_id": t1, "health": "degraded"})
+        assert state.registered[t1]["health"] == "degraded"
+        assert shared["health"] == "healthy"
+        journal.checkpoint()
+        again = self._journal(journal.media).replay()
+        assert again.registered[t1] == dict(p1, health="degraded")
+        assert again.shard_entries[t1]["profile"] == p1
+        assert again.replica_slices["5"]["entries"][t1] == p1
+        assert p1["health"] == "healthy"
 
 
 class TestAmortizedSpoolRecords:
