@@ -1,7 +1,7 @@
-"""Data-plane v3 benchmark: intra-batch delta encoding, compressed bulk
-transfers, and load-weighted shard placement (PR 10).
+"""Data-plane compression benchmark: intra-batch delta encoding and
+compressed bulk transfers.
 
-Writes ``BENCH_compression.json`` at the repository root.  Four legs:
+Writes ``BENCH_compression.json`` at the repository root.  Three legs:
 
 - **Delta batches** -- a telemetry stream's batches re-encoded with
   ``FRAME_BATCH_DELTA`` (first envelope full, the rest as header deltas
@@ -13,14 +13,11 @@ Writes ``BENCH_compression.json`` at the repository root.  Four legs:
   versus the plain codec frame.  Gates: compressed bytes <= 0.5x plain,
   and cold-ingest (decode + apply) <= 1.1x the uncompressed ingest, as
   the medians of alternating cold ingests.
-- **Load-weighted placement** -- a zipf-hot-key workload placed by the
-  plain rendezvous sweep versus the load-weighted sweep fed from the
-  same per-shard tier quantization the router announces.  Gate: the
-  fattest-node/mean state ratio drops >= 1.5x.
-- **Default-off** -- with ``compression_enabled=False`` the new layer
-  must be invisible: no delta frames, no compressed frames, no load
-  tiers, and no p99 latency regression > 1.05x at 1-peer low load with
-  compression on.
+- **Paper flags** -- with the data plane off, compression must be
+  invisible: a burst flows stop-and-wait with no batch, no delta frame
+  and no compressed frame.  (Compression is part of the data
+  plane, so its quiet-path latency is the data plane's own, gated in
+  ``test_dataplane_throughput``.)
 """
 
 from __future__ import annotations
@@ -37,12 +34,6 @@ from repro.core.messages import UMessage
 from repro.core.profile import TranslatorProfile
 from repro.core.qos import QosPolicy
 from repro.core.shapes import Direction, PortSpec, Shape
-from repro.core.shard import (
-    KEY_SPLIT,
-    ShardMap,
-    WEIGHT_TIER_BASE,
-    shard_of_key,
-)
 from repro.core.translator import Translator
 from repro.core.runtime import UMiddleRuntime
 from repro.testbed import build_testbed
@@ -209,148 +200,13 @@ def bench_full_state() -> dict:
     }
 
 
-ZIPF_NODES = 80
-ZIPF_KEYS = 400
-ZIPF_EXPONENT = 1.2
-ZIPF_TOTAL = 200_000
-ZIPF_SHARDS = 1024
-
-
-def bench_zipf_placement() -> dict:
-    """Fattest-node/mean state ratio under a zipf-hot-key workload:
-    plain rendezvous versus the load-weighted sweep.  Hot keys spread
-    across their ``KEY_SPLIT`` salted sub-shards exactly as registered
-    profiles do; tiers use the router's log2 quantization, so this is
-    the placement the live reweight path converges to."""
-    weights = [1.0 / (rank + 1) ** ZIPF_EXPONENT for rank in range(ZIPF_KEYS)]
-    total_weight = sum(weights)
-    shard_load: dict = {}
-    for index, weight in enumerate(weights):
-        count = int(ZIPF_TOTAL * weight / total_weight)
-        if count <= 0:
-            continue
-        base, extra = divmod(count, KEY_SPLIT)
-        for salt in range(KEY_SPLIT):
-            per_salt = base + (1 if salt < extra else 0)
-            if per_salt == 0:
-                continue
-            shard = shard_of_key(
-                ("device_type", f"type-{index}"), ZIPF_SHARDS, salt
-            )
-            shard_load[shard] = shard_load.get(shard, 0) + per_salt
-    members = [f"node-{i:03d}" for i in range(ZIPF_NODES)]
-
-    def fattest_ratio(shard_map: ShardMap) -> float:
-        loads = {member: 0 for member in members}
-        for shard in range(ZIPF_SHARDS):
-            loads[shard_map.owner(shard)] += shard_load.get(shard, 0)
-        values = list(loads.values())
-        return max(values) / (sum(values) / len(values))
-
-    unweighted = ShardMap(ZIPF_SHARDS)
-    unweighted.rebuild(members)
-    unweighted_ratio = fattest_ratio(unweighted)
-
-    tiers = {
-        shard: (count // WEIGHT_TIER_BASE).bit_length()
-        for shard, count in shard_load.items()
-        if count >= WEIGHT_TIER_BASE
-    }
-    weighted = ShardMap(ZIPF_SHARDS)
-    weighted.rebuild(members)
-    weighted.set_load(tiers)
-    weighted_ratio = fattest_ratio(weighted)
-    return {
-        "nodes": ZIPF_NODES,
-        "shards": ZIPF_SHARDS,
-        "hot_keys": ZIPF_KEYS,
-        "zipf_exponent": ZIPF_EXPONENT,
-        "hot_shards": len(tiers),
-        "unweighted_fattest_ratio": round(unweighted_ratio, 3),
-        "weighted_fattest_ratio": round(weighted_ratio, 3),
-        "reduction": round(unweighted_ratio / weighted_ratio, 3),
-    }
-
-
-LATENCY_MESSAGES = 300
-LATENCY_SPACING_S = 0.02
-
-
-def percentile(samples, fraction: float) -> float:
-    ranked = sorted(samples)
-    index = min(len(ranked) - 1, int(round(fraction * (len(ranked) - 1))))
-    return ranked[index]
-
-
-def run_latency(compression: bool) -> dict:
-    """1-peer low load, codec on both legs: per-message delivery latency
-    with the compression layer off versus on.  At one spaced message per
-    batch the delta/z paths never engage -- the gate is that having them
-    on costs nothing on the quiet path."""
-    bed = build_testbed(calibration=FAST_LAN, hosts=["h0", "p0"])
-    bed.network.trace.enabled = False
-    kwargs = dict(
-        calibration=FAST_LAN,
-        batching_enabled=True,
-        codec_enabled=True,
-        compression_enabled=compression,
-    )
-    producer = bed.add_runtime("h0", **kwargs)
-    consumer = bed.add_runtime("p0", **kwargs)
-    source = Translator("feed", role="sensor")
-    out = source.add_digital_output("data-out", "text/plain")
-    producer.register_translator(source)
-    deliveries = []
-    sink = Translator("display-0", role="display")
-    sink.add_digital_input(
-        "data-in", "text/plain", lambda m: deliveries.append(bed.kernel.now)
-    )
-    consumer.register_translator(sink)
-    bed.settle(2.0)
-    producer.connect(out, sink.profile.port_ref("data-in"), qos=QosPolicy())
-    bed.settle(1.0)
-
-    latencies_ms = []
-    for index in range(LATENCY_MESSAGES):
-        sent_at = bed.kernel.now
-        out.send(UMessage("text/plain", f"reading-{index}", 120))
-        bed.settle(LATENCY_SPACING_S)
-        assert len(deliveries) == index + 1, (compression, index)
-        latencies_ms.append((deliveries[-1] - sent_at) * 1000.0)
-    if not compression:
-        # Default-off: the layer must be invisible end to end.
-        assert producer.transport.delta_batches_sent == 0
-        assert producer.shards.z_frames_sent == 0
-        assert producer.shards.map.load_tiers == {}
-    return {
-        "compression": compression,
-        "messages": LATENCY_MESSAGES,
-        "p50_ms": round(percentile(latencies_ms, 0.50), 4),
-        "p99_ms": round(percentile(latencies_ms, 0.99), 4),
-    }
-
-
-def bench_latency_pair() -> dict:
-    off = run_latency(compression=False)
-    on = run_latency(compression=True)
-    return {
-        "off": off,
-        "on": on,
-        "p99_ratio": round(on["p99_ms"] / off["p99_ms"], 3),
-    }
-
-
 def bench_default_off_burst() -> dict:
-    """A batched codec burst with compression off: batches flow, but no
-    delta frame, no compressed frame and no load tier ever appears."""
+    """A burst under the paper flags (sharding on, data plane off): every
+    message arrives stop-and-wait, and no batch, no delta frame and no
+    compressed frame ever appears."""
     bed = build_testbed(calibration=FAST_LAN, hosts=["h0", "p0"])
     bed.network.trace.enabled = False
-    kwargs = dict(
-        calibration=FAST_LAN,
-        batching_enabled=True,
-        codec_enabled=True,
-        sharding_enabled=True,
-    )
+    kwargs = dict(calibration=FAST_LAN, sharding_enabled=True)
     producer = bed.add_runtime("h0", **kwargs)
     consumer = bed.add_runtime("p0", **kwargs)
     source = Translator("feed", role="sensor")
@@ -371,11 +227,11 @@ def bench_default_off_burst() -> dict:
     bed.settle(10.0)
     assert len(received) == 200
     for runtime in (producer, consumer):
+        assert runtime.transport.batches_sent == 0
         assert runtime.transport.delta_batches_sent == 0
+        assert runtime.transport.codec_frames_sent == 0
         assert runtime.shards.z_frames_sent == 0
         assert runtime.shards.z_bytes_saved == 0
-        assert runtime.shards.weight_rebalances == 0
-        assert runtime.shards.map.load_tiers == {}
     return {
         "messages": 200,
         "batches_sent": producer.transport.batches_sent,
@@ -387,17 +243,13 @@ def bench_default_off_burst() -> dict:
 def test_compression(compare):
     delta = bench_delta_batches()
     full_state = bench_full_state()
-    placement = bench_zipf_placement()
-    latency = bench_latency_pair()
     default_off = bench_default_off_burst()
 
     results = {
         "benchmark": "compression",
-        "schema": 1,
+        "schema": 2,
         "delta_batches": delta,
         "full_state": full_state,
-        "zipf_placement": placement,
-        "latency_1peer": latency,
         "default_off": default_off,
     }
     OUTPUT.write_text(json.dumps(results, indent=2) + "\n")
@@ -421,22 +273,6 @@ def test_compression(compare):
              full_state["compressed_ingest_ms"]],
         ],
     )
-    compare(
-        "Load-weighted placement under zipf-hot-key load",
-        ["sweep", "fattest/mean"],
-        [
-            ["plain rendezvous", placement["unweighted_fattest_ratio"]],
-            ["load-weighted", placement["weighted_fattest_ratio"]],
-        ],
-    )
-    compare(
-        "Per-message delivery latency (1 peer, low load, simulated ms)",
-        ["compression", "p50 ms", "p99 ms"],
-        [
-            ["off", latency["off"]["p50_ms"], latency["off"]["p99_ms"]],
-            ["on", latency["on"]["p50_ms"], latency["on"]["p99_ms"]],
-        ],
-    )
 
     # Acceptance: delta batches cut multi-envelope batch wire bytes to
     # <= 0.8x the plain codec frame.
@@ -445,11 +281,7 @@ def test_compression(compare):
     # bytes at 25k translators, without taxing cold ingest > 1.1x.
     assert full_state["compressed_ratio"] <= 0.5, full_state
     assert full_state["ingest_latency_ratio"] <= 1.1, full_state
-    # Acceptance: load-weighted placement drops the fattest-node/mean
-    # state ratio >= 1.5x under the zipf-hot-key workload.
-    assert placement["reduction"] >= 1.5, placement
-    # Acceptance: compression on must not tax the quiet path.
-    assert latency["p99_ratio"] <= 1.05, latency
-    # Acceptance: default-off is invisible (counters asserted inline).
+    # Acceptance: the paper flags never compress (counters asserted
+    # inline).
     assert default_off["delta_batches_sent"] == 0
     assert default_off["z_frames_sent"] == 0

@@ -174,7 +174,7 @@ def bench_per_node_state(cluster, flat, population: int) -> dict:
         "max_profiles_per_node": held[fattest],
         "mean_profiles_per_node": round(mean_held, 1),
         # Placement skew: how much fatter the fattest node is than the
-        # mean -- the figure load-weighted placement (PR 10) drives down.
+        # mean (hot keys spread over KEY_SPLIT sub-shards).
         "fattest_node_ratio": round(held[fattest] / mean_held, 3),
         "max_postings_per_node": store.posting_count,
         "max_bytes_per_node": store.estimated_bytes(),

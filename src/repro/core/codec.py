@@ -33,8 +33,8 @@ Three framing contexts share the value encoding:
 Which form a frame takes is decided by the sender's own flags alone; every
 receiver decodes every frame kind whatever its own flags, so no per-peer
 negotiation exists.  A runtime with the data plane off emits no binary
-frame at all, and a runtime with compression on sends delta batches and
-compressed bulk gossip to every peer.
+frame at all, and a runtime with it on sends delta batches and compressed
+bulk gossip to every peer.
 
 Message payloads are special.  A :class:`~repro.core.messages.UMessage`
 payload is usually a *stand-in* Python object whose declared ``size``
@@ -100,11 +100,11 @@ FRAME_BATCH = 0x02
 FRAME_GOSSIP = 0x03
 #: Batch whose inner envelopes 2..n are field deltas against their
 #: predecessor (stream/origin/dst metadata repeats per envelope; only the
-#: fields that actually change ride the wire).  Sent by runtimes with
-#: compression on.
+#: fields that actually change ride the wire).  Sent by runtimes with the
+#: data plane on.
 FRAME_BATCH_DELTA = 0x04
 #: Self-contained gossip body, zlib-compressed (bulk/full-state transfers).
-#: Sent by runtimes with compression on.
+#: Sent by runtimes with the data plane on.
 FRAME_GOSSIP_Z = 0x05
 
 #: zlib level for block compression: 6 is the stdlib default trade-off and
@@ -124,10 +124,12 @@ DYNAMIC_LIMIT = 4096
 
 #: Protocol strings every encoder and decoder knows a priori (ids are the
 #: tuple indexes; the dynamic table starts right after).  Order is part of
-#: the wire protocol -- append, never reorder.  Six strings belong to the
-#: retired per-peer codec handshake and its journal records (ids 18, 19,
-#: 93, 94, 97 and 99) and are no longer emitted; they stay as reserved
-#: ids, because removing them would renumber every later id.
+#: the wire protocol -- append, never reorder.  Ten strings are no longer
+#: emitted and stay as reserved ids, because removing them would renumber
+#: every later id: six belong to the retired per-peer codec handshake and
+#: its journal records (ids 18, 19, 93, 94, 97 and 99), four to the
+#: retired load-weighted shard placement (``shard_load``, ``tiers``,
+#: ``shard-weights`` and ``shard_weights``: ids 95, 96, 98 and 100).
 STATIC_SYMBOLS: Tuple[str, ...] = (
     # envelope / batch framing
     "kind", "message", "batch", "count", "envelopes", "mime", "payload",

@@ -777,13 +777,6 @@ class Directory:
             # Health-only delta: receivers swap the entry in place and fire
             # `changed` instead of removed + added.
             payload["changed"] = [p.to_dict() for p in changed]
-        load = self.runtime.shards.load_report()
-        if load:
-            # Load-weighted placement: piggyback this owner's quantized
-            # per-shard load tiers on the announcements it already sends.
-            # Absent unless weighting is active *and* some shard is above
-            # baseline, so default-off announcements are byte-identical.
-            payload["shard_load"] = load
         return payload
 
     def _estimate_size(self, profiles, removed, changed=()) -> int:
@@ -827,12 +820,11 @@ class Directory:
             # The charged size is the actual frame -- codec-honest
             # bandwidth modeling, not the JSON estimate.  ``compress_for``
             # names the single unicast target of a bulk transfer
-            # (full-state pull reply / newcomer push): with compression on
-            # that body ships zlib-compressed; multicast announcements keep
-            # the plain frame.
-            compress = bool(compress_for and self.runtime.compression_enabled)
+            # (full-state pull reply / newcomer push): that body ships
+            # zlib-compressed; multicast announcements keep the plain
+            # frame.
             try:
-                frame = encode_gossip(payload, compress=compress)
+                frame = encode_gossip(payload, compress=bool(compress_for))
             except TypeError:
                 self.codec_fallbacks += 1
                 self.runtime.trace(
@@ -1034,9 +1026,6 @@ class Directory:
                 )
                 self.request_full_state([(address, directory_port)])
 
-        load = payload.get("shard_load")
-        if load is not None:
-            self.runtime.shards.note_peer_load(runtime_id, load)
         if newcomer and self.started:
             # Teach late joiners our state in one RTT instead of making
             # them wait for our next heartbeat + request round-trip.

@@ -256,11 +256,6 @@ class RecoveredState:
     #: every saga invocation this runtime durably applied, so a re-driven
     #: step after recovery re-replies instead of re-applying.
     saga_applied: Dict[str, dict] = field(default_factory=dict)
-    #: last journaled load-weight placement state (``shard-weights``):
-    #: {"epoch": int, "tiers": {str(shard): tier}} -- restoring it before
-    #: placement keeps weighted shard assignment deterministic across
-    #: recovery.
-    shard_weights: Dict[str, object] = field(default_factory=dict)
     applied_records: int = 0
     discarded_bytes: int = 0
 
@@ -292,21 +287,17 @@ class Journal:
         enabled: bool = True,
         fsync_interval: float = 0.0,
         binary: bool = False,
-        compress: bool = False,
     ):
         self.runtime = runtime
         self.media = media
         self.enabled = enabled
         self.fsync_interval = fsync_interval
-        #: Encode new record bodies with the binary codec.  Purely a
-        #: write-side choice: replay reads both formats, so flipping the
-        #: flag across restarts (or recovering a JSON-era blob with the
-        #: codec on) needs no migration.
+        #: Encode new record bodies with the binary codec, and
+        #: zlib-deflate binary checkpoint bodies.  Purely a write-side
+        #: choice: replay reads every format by the body's magic byte, so
+        #: flipping the flag across restarts (or recovering a JSON-era
+        #: blob with the codec on) needs no migration.
         self.binary = binary
-        #: zlib-deflate checkpoint record bodies (binary codec only).
-        #: Also write-side only: replay discriminates by the body's magic
-        #: byte, so compressed and plain checkpoints coexist in one blob.
-        self.compress = compress and binary
         #: True while the runtime is crashed or replaying: appends dropped.
         self.muted = False
         self._pending = bytearray()
@@ -468,7 +459,7 @@ class Journal:
             return
         record = encode_record(
             1, "checkpoint", self._checkpoint_data(), self.binary,
-            compress=self.compress,
+            compress=self.binary,
         )
         blob = self.blob
         del blob[:]
@@ -554,8 +545,6 @@ class Journal:
             data["sagas"] = mirror.sagas
         if mirror.saga_applied:
             data["saga_applied"] = mirror.saga_applied
-        if mirror.shard_weights:
-            data["shard_weights"] = mirror.shard_weights
         return data
 
     def _flush_timer(self) -> None:
@@ -789,11 +778,6 @@ class Journal:
             state.sagas.pop(data["saga_id"], None)
         elif kind == "saga-applied":
             state.saga_applied[data["key"]] = {"seq": data["seq"]}
-        elif kind == "shard-weights":
-            state.shard_weights = {
-                "epoch": int(data.get("epoch", 0)),
-                "tiers": dict(data.get("tiers", {})),
-            }
         elif kind == "checkpoint":
             state.registered = {
                 key: dict(value) for key, value in data["registered"].items()
@@ -848,15 +832,14 @@ class Journal:
                 key: dict(value)
                 for key, value in data.get("saga_applied", {}).items()
             }
-            state.shard_weights = dict(data.get("shard_weights", {}))
         elif kind == "breaker":
             if data.get("state") == "closed":
                 state.breakers.pop(data["peer"], None)
             else:
                 state.breakers[data["peer"]] = data
         # Unknown kinds are ignored: forward-compatible replay (older blobs
-        # also carry the retired codec-negotiation and ownership-epoch
-        # kinds).
+        # also carry the retired codec-negotiation, ownership-epoch and
+        # load-weight kinds).
 
     @staticmethod
     def _apply_spool_entry(

@@ -69,29 +69,23 @@ class UMiddleRuntime:
         self.network = node.network
         self.calibration = calibration
         self.runtime_id = name or f"umiddle-{next(_runtime_counter)}-{node.name}"
-        #: The scale data plane, one switch under two keywords
-        #: (``batching_enabled`` or ``codec_enabled``; ``compression_enabled``
-        #: implies it): per-peer senders coalesce envelopes into pipelined,
-        #: load-adaptive batch frames, and batch frames, gossip bodies and
-        #: journal records use the interned varint encoding from
-        #: :mod:`repro.core.codec` instead of canonical JSON.  The sender's
-        #: own flags pick the wire form -- every receiver decodes every
-        #: frame kind, so there is no per-peer negotiation.  Off by
-        #: default: the stop-and-wait JSON paths reproduce the paper's wire
-        #: and journal bytes exactly.  Must be set before the
+        #: The scale data plane, one switch under three keywords
+        #: (``batching_enabled``, ``codec_enabled`` or
+        #: ``compression_enabled``): per-peer senders coalesce envelopes
+        #: into pipelined, load-adaptive batch frames with intra-batch
+        #: delta headers; batch frames, gossip bodies and journal records
+        #: use the interned varint encoding from :mod:`repro.core.codec`
+        #: instead of canonical JSON; bulk transfers (full-state pushes,
+        #: shard slice syncs) and journal checkpoints are zlib-compressed.
+        #: The sender's own flags pick the wire form -- every receiver
+        #: decodes every frame kind, so there is no per-peer negotiation.
+        #: Off by default: the stop-and-wait JSON paths reproduce the
+        #: paper's wire and journal bytes exactly.  Must be set before the
         #: journal/directory/transport constructors below, which all read
         #: it.
         self.data_plane_enabled = bool(
             batching_enabled or codec_enabled or compression_enabled
         )
-        #: Data-plane v3: intra-batch delta frames and zlib block
-        #: compression for bulk/full-state transfers to every peer,
-        #: compressed journal checkpoints, and load-weighted shard
-        #: placement.  Implies the data plane -- the delta and compressed
-        #: frames are binary codec forms.  Off by default: wire bytes,
-        #: journal bytes and shard placement are byte-for-byte the
-        #: uncompressed data plane.
-        self.compression_enabled = compression_enabled
         # The write-ahead journal must exist before the directory and
         # transport: both append records from their first state change.
         # The durable media lives on the network, so a journal constructed
@@ -102,7 +96,6 @@ class UMiddleRuntime:
             enabled=journal_enabled,
             fsync_interval=fsync_interval,
             binary=self.data_plane_enabled,
-            compress=compression_enabled,
         )
         # Health machinery must exist before the directory and transport:
         # both consult it from their constructors onward.

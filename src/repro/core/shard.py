@@ -132,20 +132,8 @@ CACHE_TTL = 2.0
 #: runtimes of a federation must use the same value.
 KEY_SPLIT = 32
 
-#: Load-weighted placement (data-plane v3).  Per-shard load is quantized
-#: into log2 *tiers* of WEIGHT_TIER_BASE profiles: a shard holding fewer
-#: than the base is tier 0 (baseline) and contributes nothing, so small
-#: federations keep the exact unweighted rendezvous table.  Reports ride
-#: directory announcements capped at WEIGHT_REPORT_MAX entries, and a
-#: router adopts a changed merged view at most once per
-#: WEIGHT_REBALANCE_INTERVAL simulated seconds (hysteresis: quantization
-#: absorbs jitter, the interval absorbs report races).
-WEIGHT_TIER_BASE = 64
-WEIGHT_REPORT_MAX = 32
-WEIGHT_REBALANCE_INTERVAL = 10.0
-
 #: Bulk shard-plane payloads at or above this declared size are eligible
-#: for zlib block compression when the sender has compression on.
+#: for zlib block compression when the sender runs the data plane.
 Z_MIN_BYTES = 512
 
 _IndexKey = Tuple[str, str]
@@ -202,72 +190,34 @@ def _weight(seed: int, shard: int) -> int:
     return x ^ (x >> 31)
 
 
-#: Per membership view -- (member tuple, shard count, load-tier key) --
-#: the owner table and the shard -> :meth:`ShardMap.owners_ranked`
-#: rankings, filled on demand.  Every router of a converged federation
-#: asks for the identical view, so the rendezvous sweep and each ranking
-#: run once per view per process.
+#: Per membership view -- (member tuple, shard count) -- the owner table
+#: and the shard -> :meth:`ShardMap.owners_ranked` rankings, filled on
+#: demand.  Every router of a converged federation asks for the identical
+#: view, so the rendezvous sweep and each ranking run once per view per
+#: process.
 _VIEW_CACHE: Dict[
-    Tuple[Tuple[str, ...], int, Tuple[Tuple[int, int], ...]],
+    Tuple[Tuple[str, ...], int],
     Tuple[Tuple[str, ...], Dict[int, Tuple[str, ...]]],
 ] = {}
 
 
 def _view(
-    members: Tuple[str, ...],
-    shard_count: int,
-    load_key: Tuple[Tuple[int, int], ...],
+    members: Tuple[str, ...], shard_count: int
 ) -> Tuple[Tuple[str, ...], Dict[int, Tuple[str, ...]]]:
-    cache_key = (members, shard_count, load_key)
+    cache_key = (members, shard_count)
     view = _VIEW_CACHE.get(cache_key)
     if view is None:
-        seeds = [(_member_seed(member), member) for member in members]
-        if not seeds:
-            table = ()
-        elif not load_key:
+        table: Tuple[str, ...] = ()
+        if members:
+            seeds = [(_member_seed(member), member) for member in members]
             table = tuple(
                 max(seeds, key=lambda pair: _weight(pair[0], shard))[1]
                 for shard in range(shard_count)
             )
-        else:
-            table = _weighted_owner_table(seeds, shard_count, load_key)
         if len(_VIEW_CACHE) > 64:
             _VIEW_CACHE.clear()
         view = _VIEW_CACHE[cache_key] = (table, {})
     return view
-
-
-def _weighted_owner_table(
-    seeds: List[Tuple[int, str]],
-    shard_count: int,
-    load_key: Tuple[Tuple[int, int], ...],
-) -> Tuple[str, ...]:
-    """Rendezvous assignment biased by observed per-shard load.
-
-    Shards are assigned in descending load-tier order (ties by shard
-    number, so the sweep is deterministic); each one goes to the member
-    maximizing ``rendezvous_weight / (1 + fill)``, where ``fill`` is the
-    load already assigned to that member in this sweep.  A member that
-    drew a hot sub-shard therefore scores lower for the next hot shard,
-    which is exactly the "fattest node wins too many lotteries" failure
-    the plain argmax has.  With an empty ``load_key`` callers get the
-    plain sweep (byte-identical placement to the unweighted directory).
-    """
-    tiers = dict(load_key)
-    fill: Dict[str, int] = {member: 0 for _seed, member in seeds}
-    order = sorted(range(shard_count), key=lambda s: (-tiers.get(s, 0), s))
-    assignment: List[Optional[str]] = [None] * shard_count
-    for shard in order:
-        best: Optional[str] = None
-        best_score = -1.0
-        for seed, member in seeds:
-            score = _weight(seed, shard) / (1.0 + fill[member])
-            if score > best_score:
-                best_score = score
-                best = member
-        assignment[shard] = best
-        fill[best] += 1 + tiers.get(shard, 0)
-    return tuple(assignment)
 
 
 class ShardMap:
@@ -287,17 +237,10 @@ class ShardMap:
         self.members: Tuple[str, ...] = ()
         self.version = 0
         self._table: Tuple[str, ...] = ()
-        #: shard -> log2-quantized load tier (absent/0 = baseline).  Empty
-        #: (the default) keeps the plain rendezvous sweep byte for byte;
-        #: non-empty biases the assignment via the weighted sweep.
-        self.load_tiers: Dict[int, int] = {}
         #: shard -> :meth:`owners_ranked` under this view, shared with
         #: every map of the same view (every replica frame asks again for
         #: the shards it carries).
         self._ranked: Dict[int, Tuple[str, ...]] = {}
-
-    def _load_key(self) -> Tuple[Tuple[int, int], ...]:
-        return tuple(sorted(self.load_tiers.items()))
 
     def rebuild(self, members: Iterable[str]) -> bool:
         """Recompute the assignment; True when the view actually changed."""
@@ -306,30 +249,7 @@ class ShardMap:
             return False
         self.members = ordered
         self.version += 1
-        self._table, self._ranked = _view(
-            ordered, self.shard_count, self._load_key()
-        )
-        return True
-
-    def set_load(self, tiers: Dict[int, int]) -> bool:
-        """Replace the load-tier view and re-place; True when it changed.
-
-        Tiers are already hysteresis-filtered by the router; only
-        positive tiers for in-range shards are kept, so an all-baseline
-        report is identical to no report.
-        """
-        cleaned = {
-            shard: tier
-            for shard, tier in tiers.items()
-            if tier > 0 and 0 <= shard < self.shard_count
-        }
-        if cleaned == self.load_tiers:
-            return False
-        self.load_tiers = cleaned
-        self.version += 1
-        self._table, self._ranked = _view(
-            self.members, self.shard_count, self._load_key()
-        )
+        self._table, self._ranked = _view(ordered, self.shard_count)
         return True
 
     def owner(self, shard: int) -> Optional[str]:
@@ -339,10 +259,8 @@ class ShardMap:
 
     def owners_ranked(self, shard: int) -> List[str]:
         """Members by descending rendezvous weight (deterministic failover
-        order while a membership change is still propagating).  Under
-        weighted placement the assigned owner leads regardless of its raw
-        weight, so replica selection (ranks 1..R-1) and failover stay
-        consistent with the table."""
+        order while a membership change is still propagating); the first
+        is the table's owner."""
         cached = self._ranked.get(shard)
         if cached is not None:
             return list(cached)
@@ -351,11 +269,6 @@ class ShardMap:
             key=lambda member: _weight(_member_seed(member), shard),
             reverse=True,
         )
-        if self.load_tiers and self._table:
-            owner = self._table[shard]
-            if owner in ranked and ranked[0] != owner:
-                ranked.remove(owner)
-                ranked.insert(0, owner)
         self._ranked[shard] = tuple(ranked)
         return ranked
 
@@ -598,6 +511,10 @@ def shard_fabric(network: "Network") -> ShardFabric:
 class ShardRouter:
     """One runtime's routing/placement layer over the sharded namespace."""
 
+    #: Always 0: placement follows the membership view alone, so nothing
+    #: rebalances for load.  Kept for reports that still sum the counter.
+    weight_rebalances = 0
+
     def __init__(
         self,
         runtime: "UMiddleRuntime",
@@ -647,13 +564,6 @@ class ShardRouter:
         #: peer whose lease expiry fires later may still serve them).
         self._lost_origins: Set[str] = set()
         self._key_shards: Dict[_IndexKey, int] = {}
-        #: Load-weighted placement state (data-plane v3, gated on the
-        #: runtime's ``compression_enabled``): per-origin quantized load
-        #: reports, the monotonic journaled weight epoch, and the stamp of
-        #: the last adopted view (hysteresis).
-        self._peer_loads: Dict[str, Dict[int, int]] = {}
-        self.weight_epoch = 0
-        self._last_weight_change = 0.0
         #: routing key -> (stamp, bucket) hot-key cache for routed lookups.
         self._cache: Dict[_IndexKey, Tuple[float, Tuple[TranslatorProfile, ...]]] = {}
         #: outgoing standing-query interest: route key (None = everything)
@@ -678,7 +588,6 @@ class ShardRouter:
         self.pushes_sent = 0
         self.direct_dispatches = 0
         self.rebalances = 0
-        self.weight_rebalances = 0
         self.z_frames_sent = 0
         self.z_bytes_saved = 0
         # replication counters (all zero at replication_factor=1)
@@ -720,126 +629,6 @@ class ShardRouter:
         journal record and wire frame is gated on this, so
         ``replication_factor=1`` stays byte-for-byte the PR 6 path."""
         return self.replication_factor > 1
-
-    @property
-    def weighted(self) -> bool:
-        """True when load-weighted placement is active.  Rides the
-        runtime's compression flag (the opt-in data-plane v3 layer), so
-        the default-off shard map is byte-for-byte the unweighted one."""
-        return self.enabled and self.runtime.compression_enabled
-
-    # -- load-weighted placement -------------------------------------------
-
-    def local_load_tiers(self) -> Dict[int, int]:
-        """This node's observed per-shard load, log2-quantized.  Shards
-        below WEIGHT_TIER_BASE profiles are baseline (absent), so small
-        populations produce an empty report and the unweighted table."""
-        tiers: Dict[int, int] = {}
-        for shard, tids in self.store._shards.items():
-            count = len(tids)
-            if count >= WEIGHT_TIER_BASE:
-                tiers[shard] = (count // WEIGHT_TIER_BASE).bit_length()
-        return tiers
-
-    def load_report(self) -> Optional[dict]:
-        """The announcement-piggybacked load block (top shards only), or
-        None when weighting is off or everything is baseline -- absent
-        blocks keep default-off announcements byte-identical."""
-        if not self.weighted or not self.active:
-            return None
-        tiers = self.local_load_tiers()
-        if not tiers:
-            return None
-        top = sorted(tiers.items(), key=lambda item: (-item[1], item[0]))
-        return {
-            "epoch": self.weight_epoch,
-            "tiers": {str(shard): tier for shard, tier in top[:WEIGHT_REPORT_MAX]},
-        }
-
-    def note_peer_load(self, origin: str, block: dict) -> None:
-        """Fold one peer's announced load report into the merged view and
-        re-place if hysteresis allows."""
-        if not self.weighted or not self.active:
-            return
-        try:
-            tiers = {
-                int(shard): int(tier)
-                for shard, tier in dict(block.get("tiers", {})).items()
-                if int(tier) > 0
-            }
-        except (TypeError, ValueError):
-            return
-        if self._peer_loads.get(origin) == tiers:
-            return
-        self._peer_loads[origin] = tiers
-        self._maybe_reweight()
-
-    def _merged_tiers(self) -> Dict[int, int]:
-        """Max-merge of every origin's report plus our own observation.
-        Max (not sum): a shard's load is observed by its single owner,
-        and max keeps one stale report from a previous owner harmless."""
-        merged = dict(self.local_load_tiers())
-        for tiers in self._peer_loads.values():
-            for shard, tier in tiers.items():
-                if tier > merged.get(shard, 0):
-                    merged[shard] = tier
-        return merged
-
-    def _maybe_reweight(self) -> None:
-        """Adopt a changed merged load view: journal a new weight epoch
-        (placement must replay deterministically across cold recovery),
-        re-place, and rebalance through the normal ownership machinery
-        (journaled transitions, warm-ingest handoff, re-push).  Waits
-        while a rejoin is open: the table must not move under a view that
-        is still being confirmed."""
-        now = self.runtime.kernel.now
-        if self._rejoining or (
-            now - self._last_weight_change < WEIGHT_REBALANCE_INTERVAL
-        ):
-            return
-        merged = self._merged_tiers()
-        if merged == self.map.load_tiers:
-            return
-        self._last_weight_change = now
-        self.weight_epoch += 1
-        self.runtime.journal.append(
-            "shard-weights",
-            {
-                "epoch": self.weight_epoch,
-                "tiers": {str(shard): tier for shard, tier in sorted(merged.items())},
-            },
-        )
-        self.map.set_load(merged)
-        self.weight_rebalances += 1
-        if self.runtime.tracing:
-            self.runtime.trace(
-                "shard.reweight",
-                f"weight epoch {self.weight_epoch}: "
-                f"{len(merged)} hot shard(s) biased",
-                epoch=self.weight_epoch,
-                hot_shards=len(merged),
-            )
-        self.membership_changed(force=True)
-
-    def apply_load_tiers(self, tiers: Dict[int, int]) -> bool:
-        """Offline/bench hook: adopt a load-tier view directly (no gossip,
-        no hysteresis) and recompute ownership, mirroring
-        :meth:`seed_members`.  True when placement changed."""
-        merged = {int(s): int(t) for s, t in tiers.items() if int(t) > 0}
-        if merged == self.map.load_tiers:
-            return False
-        self.weight_epoch += 1
-        self.runtime.journal.append(
-            "shard-weights",
-            {
-                "epoch": self.weight_epoch,
-                "tiers": {str(shard): tier for shard, tier in sorted(merged.items())},
-            },
-        )
-        self.map.set_load(merged)
-        self.weight_rebalances += 1
-        self._owned = self.map.owned_by(self.runtime_id)
-        return True
 
     def _peer_router(self, fabric: ShardFabric, runtime_id: str):
         """The peer's in-process router, but only when the simulated
@@ -921,44 +710,31 @@ class ShardRouter:
         self.replicas.clear()
         self._replica_routes.clear()
         self._provisional.clear()
-        self._peer_loads.clear()
-        self.weight_epoch = 0
-        self._last_weight_change = 0.0
-        self.map.set_load({})
 
     def recover(self, state: "RecoveredState") -> None:
         """Rebuild the owned shards (and any replica slices) from the
         replayed journal (called by cold recovery with appends muted)."""
         if not self.enabled:
             return
-        if self.weighted and state.shard_weights:
-            # Restore the journaled weight epoch *before* any placement
-            # math: a recovered owner must compute the same weighted
-            # table it crashed with, or its journaled shard-own view
-            # would contradict the table it rebuilds.
-            self.weight_epoch = int(state.shard_weights.get("epoch", 0))
-            self._last_weight_change = self.runtime.kernel.now
-            self.map.set_load(
-                {
-                    int(shard): int(tier)
-                    for shard, tier in dict(
-                        state.shard_weights.get("tiers", {})
-                    ).items()
-                }
-            )
         # The membership view the node crashed with (empty from a journal
         # that predates member ids): lookups route on it from the moment
         # recovery returns, and start() keeps it until the rejoin ends.
         self.map.rebuild(state.shard_members)
-        # A replayed profile table gives the store and the slices one
-        # shared dict per distinct profile, so each dict is rebuilt (and
-        # digested) once.
-        rebuilt: Dict[int, TranslatorProfile] = {}
+        # Each distinct profile is rebuilt (and digested) once.  A replayed
+        # profile table gives the store and the slices one shared dict per
+        # distinct profile; raw shard-store and shard-replica records (a
+        # node's first recovery replays those) decode a dict each, so equal
+        # dicts of one translator are matched too -- the rule the
+        # checkpoint's table is built by.
+        rebuilt: Dict[str, List[Tuple[dict, TranslatorProfile]]] = {}
 
         def profile_of(data: dict) -> TranslatorProfile:
-            profile = rebuilt.get(id(data))
-            if profile is None:
-                profile = rebuilt[id(data)] = TranslatorProfile.from_dict(data)
+            known = rebuilt.setdefault(data["translator_id"], [])
+            for seen, profile in known:
+                if seen is data or seen == data:
+                    return profile
+            profile = TranslatorProfile.from_dict(data)
+            known.append((data, profile))
             return profile
 
         for entry in state.shard_entries.values():
@@ -1300,7 +1076,6 @@ class ShardRouter:
             return
         self._lost_origins.add(runtime_id)
         self._provisional.pop(runtime_id, None)
-        self._peer_loads.pop(runtime_id, None)
         self._interest_drop_subscriber(runtime_id)
         if self.replicated and self.replicas.drop_origin(runtime_id):
             # Replica slices reap lost origins too (the tombstone extends
@@ -1369,10 +1144,6 @@ class ShardRouter:
             )
         # A tombstoned origin that reannounced is alive again.
         self._lost_origins -= set(self.directory._runtimes)
-        if self.weighted:
-            # Our own shards may have grown hot since the last report;
-            # hysteresis inside keeps this from thrashing.
-            self._maybe_reweight()
         # Backstop for the reconcile: a provisional promotion whose origin
         # never restated it within a full lease is stale.  A live origin
         # rebalances (and completely re-pushes) within a lease of the
@@ -2290,7 +2061,7 @@ class ShardRouter:
         through the fabric so placement still converges without a kernel.
         Self-targeted sends always short-circuit in process.
 
-        With compression on, bulk payloads (slice pushes, cold-ingest
+        Under the data plane, bulk payloads (slice pushes, cold-ingest
         stores, anti-entropy full syncs, initial subscription syncs) ship
         as zlib-compressed self-contained frames charged at their *actual*
         encoded size; everything else keeps the declared-size dict
@@ -2304,7 +2075,7 @@ class ShardRouter:
             info = self.directory.runtime_info(runtime_id)
             if info is None:
                 return
-            if size >= Z_MIN_BYTES and self.runtime.compression_enabled:
+            if size >= Z_MIN_BYTES and self.runtime.data_plane_enabled:
                 try:
                     frame = encode_gossip(payload, compress=True)
                 except TypeError:

@@ -339,12 +339,10 @@ class Transport:
         #: The sender's own flags pick the wire form; every receiver decodes
         #: every frame kind.  With the data plane on, the per-peer senders
         #: coalesce envelopes into pipelined, load-adaptive batch frames in
-        #: the binary codec; with it off they reproduce the stop-and-wait
-        #: JSON wire and journal behavior byte for byte.
+        #: the binary codec, delta-encoding the headers inside each batch;
+        #: with it off they reproduce the stop-and-wait JSON wire and
+        #: journal behavior byte for byte.
         self.data_plane = runtime.data_plane_enabled
-        #: Data-plane v3: intra-batch delta frames and zlib-compressed
-        #: bulk transfers to every peer (implies the data plane).
-        self.compression = runtime.compression_enabled
         #: Per-peer symbol-interning encoders, reset with their stream.
         self._encoders: Dict[str, WireEncoder] = {}
         #: Per-peer adaptive batching state.
@@ -895,7 +893,7 @@ class Transport:
         if encoder is None:
             encoder = self._encoders[runtime_id] = WireEncoder()
         try:
-            if self.compression and len(envelopes) >= 2:
+            if len(envelopes) >= 2:
                 # Delta-encode the repeated per-envelope metadata against
                 # the previous header.
                 frame = encoder.encode_batch_delta(envelopes)

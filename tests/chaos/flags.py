@@ -11,9 +11,9 @@ invariant must hold under each entry:
 
   - ``off`` (default): the paper's stop-and-wait JSON wire and journal;
   - ``on``: batched, pipelined, load-adaptive senders speaking the
-    binary codec on the wire, in gossip bodies and in WAL record bodies;
-  - ``compressed``: ``on`` plus intra-batch delta frames, zlib bulk
-    transfers, compressed checkpoints and load-weighted shard placement.
+    binary codec on the wire, in gossip bodies and in WAL record bodies,
+    with intra-batch delta frames, zlib bulk transfers and compressed
+    checkpoints.
 
 - ``CHAOS_SHARDED=1`` puts the rendezvous-sharded directory in the loop
   (ownership handoff, routed lookups, interest-scoped gossip).
@@ -26,7 +26,7 @@ invariant must hold under each entry:
 
 import os
 
-DATAPLANES = ("off", "on", "compressed")
+DATAPLANES = ("off", "on")
 
 SEED = int(os.environ.get("CHAOS_SEED", "7"))
 LOSE_STATE = os.environ.get("CHAOS_LOSE_STATE", "0") == "1"
@@ -37,10 +37,7 @@ SHARDED = os.environ.get("CHAOS_SHARDED", "0") == "1"
 REPLICATION = os.environ.get("CHAOS_REPLICATION", "0") == "1"
 
 #: Runtime keyword arguments selecting the data plane.
-DATA_PLANE_FLAGS = {
-    "batching_enabled": DATAPLANE != "off",
-    "compression_enabled": DATAPLANE == "compressed",
-}
+DATA_PLANE_FLAGS = {"batching_enabled": DATAPLANE == "on"}
 #: Runtime keyword arguments shared by every chaos scenario runtime: the
 #: data plane plus the directory mode.
 RUNTIME_FLAGS = dict(DATA_PLANE_FLAGS, sharding_enabled=SHARDED)

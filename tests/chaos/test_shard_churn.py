@@ -10,6 +10,7 @@ registered profile is present on the owner of every shard its index keys
 hash to -- so any node's routed lookup finds everything.
 """
 
+import itertools
 import json
 import random
 
@@ -21,10 +22,12 @@ from repro.core.messages import UMessage
 from repro.core.profile import TranslatorProfile
 from repro.core.query import Query
 from repro.core.replica import slice_digest
+from repro.core.shapes import Direction, PortSpec, Shape
+from repro.core.shard import placement_salt
 from repro.core.translator import Translator
 from repro.testbed import build_testbed
 
-from tests.chaos.flags import DATA_PLANE_FLAGS, REPLICATION
+from tests.chaos.flags import DATA_PLANE_FLAGS, REPLICATION, SEED
 from tests.core.test_directory_index import random_profile
 
 
@@ -395,3 +398,72 @@ class TestPartitionOracle:
                         f"{runtime.runtime_id} replica of shard {shard} "
                         f"diverges from {owner.runtime_id} after heal"
                     )
+
+
+def hot_ids():
+    """Translator ids with placement salt 0: every index key of every
+    ``hot-device`` profile named by them lands on one sub-shard."""
+    for index in itertools.count():
+        tid = f"hot-{index:05d}"
+        if placement_salt(tid) == 0:
+            yield tid
+
+
+class TestHotKeyChurn:
+    """Register/unregister churn of one hot key, whose population
+    wanders across 64 profiles per sub-shard, in the configuration a
+    user would run: the full data plane, sharding and replication.
+    Every node must serve exactly the live profiles.  A removal reaches
+    only the owners in the origin's current table, so placement must
+    follow the membership view alone: a table that moved with load left
+    unregistered copies behind."""
+
+    def test_every_node_sees_exactly_the_live_hot_profiles(self):
+        hosts = [f"h{i}" for i in range(8)]
+        bed = build_testbed(hosts=hosts)
+        cluster = [
+            bed.add_runtime(
+                h, compression_enabled=True, sharding_enabled=True,
+                replication_factor=2, shard_count=64,
+            )
+            for h in hosts
+        ]
+        bed.settle(2.0)
+        rng = random.Random(SEED)
+        ids = hot_ids()
+        live = {}
+
+        def register():
+            origin, tid = rng.choice(cluster), next(ids)
+            origin.directory.register(
+                TranslatorProfile(
+                    translator_id=tid,
+                    name=tid,
+                    platform="upnp",
+                    device_type="hot-device",
+                    role="display",
+                    runtime_id=origin.runtime_id,
+                    shape=Shape([PortSpec.digital("in", Direction.IN, "text/plain")]),
+                )
+            )
+            live[tid] = origin
+
+        for _ in range(56):
+            register()
+        for _ in range(300):  # 60 sim-s, one step every 0.2 s
+            if len(live) < 48 or (len(live) <= 80 and rng.random() < 0.5):
+                register()
+            else:
+                tid = rng.choice(sorted(live))
+                live.pop(tid).directory.unregister(tid)
+            bed.settle(0.2)
+        bed.settle(20.0)
+        for runtime in cluster:
+            got = {
+                p.translator_id
+                for p in runtime.lookup(Query(device_type="hot-device"))
+            }
+            assert got == set(live), (
+                f"{runtime.runtime_id}: {len(got - set(live))} unregistered "
+                f"served, {len(set(live) - got)} live missing"
+            )

@@ -10,8 +10,9 @@ envelopes/batches, directory gossip datagrams, and journal record bodies
 - a truncated or bit-flipped frame raises :class:`CodecError` (or, for
   journal bodies, fails the record CRC) -- it never silently mis-decodes;
 - the sender's own flags pick the wire form and every receiver decodes
-  every frame kind, so a federation mixing paper-flag, data-plane and
-  compression runtimes delivers everything.
+  every frame kind (delta batches and compressed gossip included), so a
+  federation mixing paper-flag and data-plane runtimes delivers
+  everything.
 """
 
 import json
@@ -288,7 +289,7 @@ class TestCorruption:
         assert discarded == 0
 
 
-# -- data-plane v3: delta batches and compressed frames ---------------------
+# -- data-plane compression: delta batches and compressed frames -----------
 
 
 class TestDeltaBatches:
@@ -697,8 +698,9 @@ class TestMixedVersionFederation:
 
 
 class TestCompressionFederation:
-    """The z capability between two compression runtimes: delta batches
-    flow and reconstruct every message losslessly."""
+    """Two data-plane runtimes, switched on by the ``compression_enabled``
+    keyword: delta batches flow and reconstruct every message
+    losslessly."""
 
     def burst(self, bed, out, count=120):
         # Back-to-back sends so the batched sender accumulates

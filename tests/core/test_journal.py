@@ -420,6 +420,61 @@ class TestReplaySemantics:
         assert replayed_slices == state.replica_slices
 
 
+    def test_retired_weight_records_replay_ignored(self):
+        """Blobs from when shard placement followed load hold
+        ``shard-weights`` records and checkpoints carrying
+        ``shard_weights``.  Such a blob replays to the same state as the
+        same blob without those entries, and cold recovery's checkpoint
+        drops the field."""
+        rng = random.Random(11)
+        p1 = random_profile(rng, 1, "rt-h2").to_dict()
+        p2 = random_profile(rng, 2, "rt-h2").to_dict()
+        checkpoint = {
+            "registered": {},
+            "bindings": {},
+            "paths": {},
+            "spool": {},
+            "stream_seqs": {},
+            "breakers": {},
+            "shard_entries": {
+                p1["translator_id"]: {"profile": p1, "shards": [3]}
+            },
+            "shard_owned": [3, 9],
+            "shard_members": ["rt-h1", "rt-h2"],
+        }
+        store = {"profile": p2, "shards": [9]}
+        current = [("checkpoint", checkpoint), ("shard-store", store)]
+        old = [
+            (
+                "checkpoint",
+                dict(checkpoint, shard_weights={"epoch": 2, "tiers": {"3": 1}}),
+            ),
+            ("shard-weights", {"epoch": 3, "tiers": {"3": 2, "9": 1}}),
+            ("shard-store", store),
+            ("shard-weights", {"epoch": 4, "tiers": {}}),
+        ]
+
+        def replayed(steps, blob):
+            for lsn, (kind, data) in enumerate(steps, start=1):
+                blob.extend(encode_record(lsn, kind, data, binary=True))
+            return self.apply(*((r["kind"], r["data"]) for r in records_of(blob)))
+
+        bed = build_testbed(hosts=["h1"])
+        state = replayed(old, durable_media(bed.network).blob("rt-h1"))
+        assert vars(state) == vars(replayed(current, bytearray()))
+        assert set(state.shard_entries) == {
+            p1["translator_id"], p2["translator_id"]
+        }
+        runtime = bed.add_runtime("h1", sharding_enabled=True, codec_enabled=True)
+        runtime.crash(lose_state=True)
+        runtime.recover()
+        records = records_of(runtime.journal.blob)
+        assert [r["kind"] for r in records] == ["checkpoint"]
+        data = records[0]["data"]
+        assert "shard_weights" not in data
+        sealed = self.apply(("checkpoint", data))
+        assert sealed.shard_entries == state.shard_entries
+
     def test_shard_members_replay_and_blobs_without_them(self):
         """``shard-own`` records and checkpoints carry the shard map's
         member ids.  A blob written before they did replays to the same

@@ -201,3 +201,71 @@ class TestPathSnapshots:
         # declined; the first admitted normally.
         assert admitted == 1
         assert r1.transport.paths_from(out) == [first]
+
+
+class TestAdaptiveBatching:
+    """The per-peer control law :meth:`Transport._adapt_batching` runs
+    after every ack round: a saturated backlog doubles the batch caps and
+    the pipeline window up to the ``ADAPT_*`` ceilings, a trickling
+    backlog stretches the flush timer, and two idle rounds start decaying
+    everything back to the base constants."""
+
+    def test_grow_then_flush_grow_then_shrink(self):
+        bed = build_testbed(hosts=["h0"])
+        transport = bed.add_runtime("h0", batching_enabled=True).transport
+        state = transport._adaptive_state("rt-p0")
+
+        def caps():
+            return state.max_envelopes, state.max_bytes, state.window
+
+        base = (
+            transport.BATCH_MAX_ENVELOPES,
+            transport.BATCH_MAX_BYTES,
+            transport.PIPELINE_WINDOW,
+        )
+        ceilings = (
+            transport.ADAPT_MAX_ENVELOPES,
+            transport.ADAPT_MAX_BYTES,
+            transport.ADAPT_MAX_WINDOW,
+        )
+        assert caps() == base and state.flush_delay_s == 0.0
+
+        # Grow: a backlog of a full window of full batches doubles the
+        # caps and the window each round, each clamped at its ceiling.
+        grown = [base]
+        while caps() != ceilings:
+            transport._adapt_batching(
+                "rt-p0", state, state.max_envelopes * state.window
+            )
+            grown.append(caps())
+            assert state.flush_delay_s == 0.0
+        assert grown == [
+            (32, 8192, 4), (64, 16384, 8), (128, 32768, 16), (256, 65536, 16)
+        ]
+        transport._adapt_batching("rt-p0", state, 10 * 256 * 16)
+        assert caps() == ceilings
+        assert transport.batch_adaptations == 3
+
+        # Flush-grow: a backlog below one batch only stretches the
+        # pre-send wait, from the floor up to the ceiling.
+        delays = []
+        for _round in range(6):
+            transport._adapt_batching("rt-p0", state, 3)
+            delays.append(state.flush_delay_s)
+        floor, ceiling = transport.ADAPT_FLUSH_MIN_S, transport.ADAPT_FLUSH_MAX_S
+        assert delays == [min(floor * 2**k, ceiling) for k in range(6)]
+        assert delays[-1] == ceiling
+        assert caps() == ceilings
+        assert transport.batch_adaptations == 3 + 5
+
+        # Shrink: a drained outbox zeroes the wait at once; from the
+        # second idle round on, the caps and the window halve back to base.
+        shrunk = []
+        for _round in range(5):
+            transport._adapt_batching("rt-p0", state, 0)
+            assert state.flush_delay_s == 0.0
+            shrunk.append(caps())
+        assert shrunk == [
+            ceilings, (128, 32768, 8), (64, 16384, 4), base, base
+        ]
+        assert transport.batch_adaptations == 3 + 5 + 3
