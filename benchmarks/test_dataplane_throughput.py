@@ -11,7 +11,8 @@ costs, so the measured simulated-time speedup is the tentpole claim:
 - >= 3x messages/s at 64-peer fanout with the data plane on vs off,
 - <= 1.05x per-message cost at single-peer scale (no regression), and
 - with the WAL on (group commit), batched throughput still beats
-  unbatched while appending strictly fewer journal records.
+  unbatched while appending strictly fewer journal records (each leg
+  also reports the journal bytes it wrote).
 
 Bytes on wire come from the hub's ``bytes_transmitted`` counter: shared
 batch framing and intra-batch delta headers also shrink the per-envelope
@@ -138,6 +139,7 @@ def run_fanout(peers: int, batching: bool, structured: bool = False,
         "wire_bytes": bed.lan.bytes_transmitted - bytes_before,
         "batches_sent": producer.transport.batches_sent,
         "journal_records": producer.journal.records_appended,
+        "journal_bytes": producer.journal.bytes_written,
         "spool_folds": producer.journal.spool_folds,
         "codec_frames_sent": producer.transport.codec_frames_sent,
         "codec_fallbacks": producer.transport.codec_fallbacks,
@@ -289,21 +291,21 @@ def test_dataplane_throughput(compare):
         rows,
     )
     compare(
-        "WAL on (group commit, 8 peers): data plane vs paper sender",
-        ["variant", "msgs/s", "journal records", "spool folds"],
+        "WAL on (group commit, 8 peers; fold leg 1 peer): data plane vs paper sender",
+        ["variant", "msgs/s", "journal records", "journal bytes", "spool folds"],
         [
             [
-                "unbatched",
-                wal["off"]["msgs_per_sim_s"],
-                wal["off"]["journal_records"],
-                wal["off"]["spool_folds"],
-            ],
-            [
-                "batched",
-                wal["on"]["msgs_per_sim_s"],
-                wal["on"]["journal_records"],
-                wal["on"]["spool_folds"],
-            ],
+                label,
+                wal[leg]["msgs_per_sim_s"],
+                wal[leg]["journal_records"],
+                wal[leg]["journal_bytes"],
+                wal[leg]["spool_folds"],
+            ]
+            for label, leg in (
+                ("unbatched", "off"),
+                ("batched", "on"),
+                ("batched, 1 peer", "single_peer_on"),
+            )
         ],
     )
 

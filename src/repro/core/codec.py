@@ -24,11 +24,16 @@ Three framing contexts share the value encoding:
   per datagram -- UDP multicast has no per-receiver state -- which still
   vectorizes beautifully because one announcement repeats the same profile
   field names for every entry it carries.
-- **Journal record bodies** (:func:`encode_journal_body`): a fresh table
-  per record, newline-escaped so the journal's line framing and CRC
-  machinery are untouched; the record-level CRC already covers integrity.
-  Folded ``spool-batch`` records repeat envelope keys per entry, so the
-  per-record table is exactly the vectorized encoding the fold wants.
+- **Journal record bodies** (:func:`encode_journal_body`): newline-escaped
+  so the journal's line framing and CRC machinery are untouched; the
+  record-level CRC already covers integrity.  A data-plane journal binds
+  one table to each blob, as the transport binds one to each stream: a
+  blob is written in order by one writer and replayed front to back, so
+  a record's body (magic ``0xB4``) references every string the blob's
+  earlier records defined, and a checkpoint -- which rewrites the blob
+  as one self-contained body (``0xB2``, or ``0xB3`` compressed) --
+  restarts the table, like a reconnect.  The writer holds a
+  :class:`WireEncoder`, the reader a :class:`BlobSymbols`.
 
 Which form a frame takes is decided by the sender's own flags alone; every
 receiver decodes every frame kind whatever its own flags, so no per-peer
@@ -59,6 +64,7 @@ from repro.core.errors import CodecError
 
 __all__ = [
     "BinaryFrame",
+    "BlobSymbols",
     "CodecError",
     "WireDecoder",
     "WireEncoder",
@@ -93,6 +99,9 @@ WIRE_MAGIC = 0xB1
 JOURNAL_MAGIC = 0xB2
 #: First byte of a zlib-compressed binary journal record body.
 JOURNAL_MAGIC_Z = 0xB3
+#: First byte of a blob-scoped binary journal record body: encoded against
+#: the symbol table its blob's earlier records built.
+JOURNAL_MAGIC_BLOB = 0xB4
 
 #: Frame kinds (second byte of a wire frame).
 FRAME_ENVELOPE = 0x01
@@ -315,8 +324,8 @@ def _frame(kind: int, body: bytearray) -> bytes:
 
 
 class WireEncoder:
-    """Stateful value encoder; one instance per peer stream (or per
-    self-contained frame)."""
+    """Stateful value encoder; one instance per peer stream or journal
+    blob (or per self-contained frame)."""
 
     __slots__ = ("_symbols",)
 
@@ -325,16 +334,29 @@ class WireEncoder:
         self._symbols: Dict[str, bytes] = {}
 
     def reset(self) -> None:
-        """Drop the dynamic table (the peer stream was reopened; the new
-        accepted stream starts a fresh decoder)."""
+        """Drop the dynamic table (the peer stream was reopened, or the
+        journal blob rewritten; its reader starts a fresh table too)."""
         self._symbols.clear()
 
-    def _rollback(self, mark: int) -> None:
+    def mark(self) -> int:
+        """The table's size: :meth:`rollback` to it forgets every symbol
+        defined from now on."""
+        return len(self._symbols)
+
+    def rollback(self, mark: int) -> Dict[str, bytes]:
         """Forget the symbols defined since the table had ``mark``
-        entries (dicts keep insertion order, so these are the newest)."""
+        entries (dicts keep insertion order, so these are the newest);
+        returns them, oldest first, for :meth:`restore`."""
         symbols = self._symbols
+        dropped = []
         while len(symbols) > mark:
-            symbols.popitem()
+            dropped.append(symbols.popitem())
+        return dict(reversed(dropped))
+
+    def restore(self, dropped: Dict[str, bytes]) -> None:
+        """Define again, under their old ids, the symbols a
+        :meth:`rollback` to the table's present size returned."""
+        self._symbols.update(dropped)
 
     # -- value encoding ------------------------------------------------------
 
@@ -518,7 +540,7 @@ class WireEncoder:
                         oob += self._write_envelope_delta(buf, envelope, prev, objs)
                     prev = envelope
         except BaseException:
-            self._rollback(mark)
+            self.rollback(mark)
             raise
         return BinaryFrame(_frame(kind, buf), tuple(objs), oob)
 
@@ -796,6 +818,37 @@ class WireDecoder:
         return {"kind": "batch", "count": len(envelopes), "envelopes": envelopes}
 
 
+class BlobSymbols(dict):
+    """One journal blob's symbol table as its reader holds it (id -> text).
+
+    The blob's writer defines symbols in id order, so a definition must
+    extend the table by exactly the next id: one that does not marks the
+    record corrupt.  That keeps the table a mirror of the writer's, and
+    lets a rejected record's definitions be rolled back by dropping the
+    newest entries."""
+
+    __slots__ = ()
+
+    def __setitem__(self, sym: int, text: str) -> None:
+        if sym != _DYNAMIC_BASE + len(self) or len(self) >= DYNAMIC_LIMIT:
+            raise CodecError(f"symbol {sym} defined out of order")
+        dict.__setitem__(self, sym, text)
+
+    def rollback(self, mark: int) -> None:
+        """Forget the symbols defined since the table had ``mark`` entries."""
+        while len(self) > mark:
+            self.popitem()
+
+    def encoder(self) -> WireEncoder:
+        """A writer's table equal to this one: the blob's next record may
+        reference every symbol defined here."""
+        encoder = WireEncoder()
+        encoder._symbols.update(
+            (text, _sym_ref(sym)) for sym, text in self.items()
+        )
+        return encoder
+
+
 # -- self-contained frames (gossip datagrams) ---------------------------------
 
 
@@ -868,9 +921,14 @@ def encoded_size(value: Any) -> int:
 _ESC_BYTE = b"\x1b"
 _NL_SUB = b"\x1bn"
 _ESC_SUB = b"\x1b\x1b"
+_JOURNAL_MAGICS = (
+    bytes((JOURNAL_MAGIC,)), bytes((JOURNAL_MAGIC_Z,)), bytes((JOURNAL_MAGIC_BLOB,))
+)
 
 
-def encode_journal_body(record: dict, compress: bool = False) -> bytes:
+def encode_journal_body(
+    record: dict, compress: bool = False, table: Optional[WireEncoder] = None
+) -> bytes:
     """Encode one journal record body (``{"data", "kind", "lsn"}``).
 
     The body must coexist with the journal's line framing: a leading
@@ -882,33 +940,56 @@ def encode_journal_body(record: dict, compress: bool = False) -> bytes:
     :class:`TypeError` (before any state changes) for non-representable
     data, mirroring ``json.dumps``.
 
-    With ``compress=True`` the encoded value bytes are zlib-deflated
-    before escaping and the body leads with :data:`JOURNAL_MAGIC_Z`
-    instead -- used for checkpoint records, which are whole-state blobs.
-    Deflate is only kept when it actually shrinks the body, so small
-    checkpoints stay plain and the choice is deterministic for a given
-    record.
+    Given ``table`` -- the writer's table of the blob the record goes
+    to -- the body is blob-scoped (:data:`JOURNAL_MAGIC_BLOB`): strings
+    the blob's earlier records defined ride as references, new ones are
+    defined in the table, and a failed encode leaves the table as it was.
+    Otherwise the body is self-contained, and with ``compress=True`` the
+    encoded value bytes are zlib-deflated before escaping and the body
+    leads with :data:`JOURNAL_MAGIC_Z` instead -- used for checkpoint
+    records, which are whole-state blobs.  Deflate is only kept when it
+    actually shrinks the body, so small checkpoints stay plain and the
+    choice is deterministic for a given record.
     """
     raw = bytearray()
-    WireEncoder()._write_value(raw, record)
-    magic = JOURNAL_MAGIC
-    if compress:
-        packed = zlib.compress(raw, _Z_LEVEL)
-        if len(packed) < len(raw):
-            raw = packed
-            magic = JOURNAL_MAGIC_Z
+    if table is not None:
+        mark = table.mark()
+        try:
+            table._write_value(raw, record)
+        except BaseException:
+            table.rollback(mark)
+            raise
+        magic = JOURNAL_MAGIC_BLOB
+    else:
+        WireEncoder()._write_value(raw, record)
+        magic = JOURNAL_MAGIC
+        if compress:
+            packed = zlib.compress(raw, _Z_LEVEL)
+            if len(packed) < len(raw):
+                raw = packed
+                magic = JOURNAL_MAGIC_Z
     escaped = raw.replace(_ESC_BYTE, _ESC_SUB).replace(b"\n", _NL_SUB)
     return bytes((magic,)) + escaped
 
 
 def is_binary_journal_body(body: bytes) -> bool:
-    return body[:1] in (bytes((JOURNAL_MAGIC,)), bytes((JOURNAL_MAGIC_Z,)))
+    return body[:1] in _JOURNAL_MAGICS
 
 
-def decode_journal_body(body: bytes) -> dict:
-    """Decode a binary journal record body back into its record dict."""
+def decode_journal_body(body: bytes, table: Optional[BlobSymbols] = None) -> dict:
+    """Decode a binary journal record body back into its record dict.
+
+    A blob-scoped body decodes against ``table``, the reader's table of
+    the blob it was read from, and extends it with the body's
+    definitions; a body that fails to decode leaves the table as it was.
+    A blob-scoped body without a table raises :class:`CodecError`.
+    Self-contained bodies neither read nor extend the table.
+    """
     if not is_binary_journal_body(body):
         raise CodecError("not a binary journal body")
+    scoped = body[0] == JOURNAL_MAGIC_BLOB
+    if scoped and table is None:
+        raise CodecError("blob-scoped journal body read without its blob's table")
     # Unescape with bytes operations: split at the escaped ESCs, turn
     # ESC-n back into newlines within each piece, and reject any ESC
     # still left (a truncated or bad escape) before rejoining.
@@ -922,4 +1003,11 @@ def decode_journal_body(body: bytes) -> dict:
             raw = zlib.decompress(raw)
         except zlib.error as exc:
             raise CodecError(f"corrupt compressed journal body: {exc}") from exc
-    return _read_map(raw, {}, None, "journal body")
+    if not scoped:
+        return _read_map(raw, {}, None, "journal body")
+    mark = len(table)
+    try:
+        return _read_map(raw, table, None, "journal body")
+    except BaseException:
+        table.rollback(mark)
+        raise

@@ -15,12 +15,22 @@ Record format
 
 One record per line::
 
-    <crc32 hex, 8 chars> <canonical JSON: {"data": ..., "kind": ..., "lsn": n}>\\n
+    <crc32 hex, 8 chars> <body: {"data": ..., "kind": ..., "lsn": n}>\\n
 
+- The body's first byte declares its format, so blobs mixing formats
+  replay.  A runtime with the data plane off writes canonical JSON.  One
+  with it on writes binary codec bodies (:mod:`repro.core.codec`): a
+  checkpoint is self-contained (``0xB2``, or ``0xB3`` when zlib shrinks
+  it) and restarts the blob's symbol table, every other record is
+  blob-scoped (``0xB4``) -- encoded against the table the blob's earlier
+  records built, so a string costs its bytes once per blob and a 2-3
+  byte reference after that -- and a record the codec cannot represent
+  keeps a JSON body.
 - ``lsn`` is a per-journal monotonic sequence number; a gap or regression
   during replay stops the scan (a torn or reordered tail is never applied).
-- The CRC-32 covers the JSON body; a mismatch (bit flip) also stops the
-  scan.  Replay therefore always recovers the *last checksum-consistent
+- The CRC-32 covers the body; a mismatch (bit flip) also stops the
+  scan, as does a blob-scoped body that does not decode against the
+  table.  Replay therefore always recovers the *last checksum-consistent
   prefix* -- anything after the first bad record is discarded and must be
   re-learned through the normal gossip pull.
 
@@ -57,7 +67,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.core.codec import (
+    BlobSymbols,
     CodecError,
+    WireEncoder,
     canonical_json,
     decode_journal_body,
     encode_journal_body,
@@ -135,7 +147,12 @@ def durable_media(network: "Network") -> DurableMedia:
 
 
 def encode_record(
-    lsn: int, kind: str, data: dict, binary: bool = False, compress: bool = False
+    lsn: int,
+    kind: str,
+    data: dict,
+    binary: bool = False,
+    compress: bool = False,
+    table: Optional[WireEncoder] = None,
 ) -> bytes:
     """One checksummed, line-framed journal record.
 
@@ -143,18 +160,21 @@ def encode_record(
     (magic byte ``0xB2``, see :mod:`repro.core.codec`) instead of
     canonical JSON; the line framing and CRC are identical either way,
     and mixed blobs replay fine -- each body declares its own format in
-    its first byte.  ``compress=True`` (binary only) additionally
+    its first byte.  ``table`` (binary only), the writer's symbol table
+    of the blob the record is appended to, makes the body blob-scoped
+    (magic ``0xB4``): it references the strings the blob's earlier
+    records defined.  ``compress=True`` (binary, no table) additionally
     zlib-deflates the body (magic ``0xB3``) when that shrinks it -- used
     for checkpoint records, which serialize the whole mirror.  A record
     the codec cannot represent (an int beyond its varint range) keeps the
-    canonical-JSON body instead; only data JSON cannot carry either raises
-    :class:`TypeError`.
+    canonical-JSON body instead, and leaves ``table`` as it was; only
+    data JSON cannot carry either raises :class:`TypeError`.
     """
     record = {"data": data, "kind": kind, "lsn": lsn}
     body = None
     if binary:
         try:
-            body = encode_journal_body(record, compress=compress)
+            body = encode_journal_body(record, compress=compress, table=table)
         except TypeError:
             pass
     if body is None:
@@ -162,8 +182,9 @@ def encode_record(
     return b"%08x " % (zlib.crc32(body) & 0xFFFFFFFF) + body + b"\n"
 
 
-def _decode_line(line: bytes) -> Optional[dict]:
-    """Parse one framed record; None on any structural or checksum fault."""
+def _decode_line(line: bytes, symbols: BlobSymbols) -> Optional[dict]:
+    """Parse one framed record, decoding a blob-scoped body against
+    ``symbols``; None on any structural or checksum fault."""
     if len(line) < 10 or line[8:9] != b" ":
         return None
     body = line[9:]
@@ -175,7 +196,7 @@ def _decode_line(line: bytes) -> Optional[dict]:
         return None
     if is_binary_journal_body(body):
         try:
-            record = decode_journal_body(body)
+            record = decode_journal_body(body, table=symbols)
         except CodecError:
             return None
     else:
@@ -188,14 +209,20 @@ def _decode_line(line: bytes) -> Optional[dict]:
     return record
 
 
-def replay_blob(blob: bytes) -> Tuple[List[dict], int, int]:
+def replay_blob(
+    blob: bytes, symbols: Optional[BlobSymbols] = None
+) -> Tuple[List[dict], int, int]:
     """Scan a journal blob to its last checksum-consistent prefix.
 
     Returns ``(records, clean_bytes, discarded_bytes)``.  The scan stops at
     the first record that is torn (no trailing newline), fails its CRC,
     does not parse, or breaks LSN monotonicity; everything after that point
-    counts as discarded.
+    counts as discarded.  Blob-scoped bodies decode against one symbol
+    table for the whole blob; ``symbols``, an empty table when given, ends
+    up holding what the clean prefix defined.
     """
+    if symbols is None:
+        symbols = BlobSymbols()
     records: List[dict] = []
     offset = 0
     last_lsn = 0
@@ -204,11 +231,11 @@ def replay_blob(blob: bytes) -> Tuple[List[dict], int, int]:
         end = view.find(b"\n", offset)
         if end < 0:
             break  # torn tail: partial record without its newline
-        record = _decode_line(view[offset:end])
-        if record is None:
-            break
-        lsn = record["lsn"]
+        mark = len(symbols)
+        record = _decode_line(view[offset:end], symbols)
+        lsn = None if record is None else record["lsn"]
         if not isinstance(lsn, int) or lsn != last_lsn + 1:
+            symbols.rollback(mark)  # a rejected record defines nothing
             break
         last_lsn = lsn
         records.append(record)
@@ -292,19 +319,21 @@ class Journal:
         self.media = media
         self.enabled = enabled
         self.fsync_interval = fsync_interval
-        #: Encode new record bodies with the binary codec, and
-        #: zlib-deflate binary checkpoint bodies.  Purely a write-side
-        #: choice: replay reads every format by the body's magic byte, so
-        #: flipping the flag across restarts (or recovering a JSON-era
-        #: blob with the codec on) needs no migration.
+        #: Encode new record bodies with the binary codec (blob-scoped,
+        #: see :meth:`_scan`), and zlib-deflate binary checkpoint bodies
+        #: (self-contained).  Purely a write-side choice: replay reads
+        #: every format by the body's magic byte, so flipping the flag
+        #: across restarts (or recovering a JSON-era blob with the codec
+        #: on) needs no migration.
         self.binary = binary
         #: True while the runtime is crashed or replaying: appends dropped.
         self.muted = False
         self._pending = bytearray()
         self._flush_scheduled = False
-        # Continue the LSN chain of whatever already survives on disk, and
-        # seed the mirror from it.
-        records, clean, _junk = replay_blob(self.blob)
+        # Continue the LSN chain and the symbol table (``_encoder``, see
+        # :meth:`_scan`) of whatever already survives on disk, and seed the
+        # mirror from it.
+        records, clean, _junk = self._scan()
         self._lsn = records[-1]["lsn"] if records else 0
         #: Byte copy of the last durably-flushed frame, compared against
         #: the blob tail before every flush (see :meth:`sync`).
@@ -342,6 +371,18 @@ class Journal:
     def pending_bytes(self) -> int:
         return len(self._pending)
 
+    def _scan(self) -> Tuple[List[dict], int, int]:
+        """:func:`replay_blob` over the durable blob, rebinding the writer's
+        symbol table to the one the scan built: a binary journal writes
+        blob-scoped bodies, and its table always equals what a reader of
+        the durable blob plus the pending records holds."""
+        symbols = BlobSymbols()
+        scan = replay_blob(self.blob, symbols)
+        #: The blob's symbol table, writer side; None when the journal
+        #: writes canonical JSON, which neither reads nor extends it.
+        self._encoder = symbols.encoder() if self.binary else None
+        return scan
+
     # -- writing ------------------------------------------------------------
 
     def append(self, kind: str, data: dict) -> None:
@@ -352,7 +393,9 @@ class Journal:
         self._fold = None
         # Encode before committing the LSN: a non-serializable payload must
         # raise without leaving a gap in the sequence chain.
-        record = encode_record(self._lsn + 1, kind, data, self.binary)
+        record = encode_record(
+            self._lsn + 1, kind, data, self.binary, table=self._encoder
+        )
         self._lsn += 1
         self._pending += record
         self._pending_tail = record
@@ -383,15 +426,24 @@ class Journal:
         if not self.enabled or self.muted:
             return
         fold = self._fold
+        encoder = self._encoder
         if fold is not None and fold["peer"] == peer:
             entries = fold["data"]["entries"]
             entries.append([envelope, size])
+            # The grown record replaces the pending one, so it is encoded
+            # against the table as it stood before that one: the symbols
+            # the pending one defined go, and come back if the encode fails.
+            if encoder is not None:
+                defined = encoder.rollback(fold["mark"])
             try:
                 record = encode_record(
-                    fold["lsn"], "spool-batch", fold["data"], self.binary
+                    fold["lsn"], "spool-batch", fold["data"], self.binary,
+                    table=encoder,
                 )
             except TypeError:
                 entries.pop()
+                if encoder is not None:
+                    encoder.restore(defined)
                 raise
             del self._pending[fold["start"]:]
             self._pending += record
@@ -401,11 +453,15 @@ class Journal:
             return
         data = {"peer": peer, "entries": [[envelope, size]]}
         start = len(self._pending)
+        mark = encoder.mark() if encoder is not None else 0
         self.append("spool-batch", data)
         if len(self._pending) > start:
             # The record is still pending (group commit): the next spool
             # append for this peer may grow it in place.
-            self._fold = {"peer": peer, "data": data, "lsn": self._lsn, "start": start}
+            self._fold = {
+                "peer": peer, "data": data, "lsn": self._lsn, "start": start,
+                "mark": mark,
+            }
 
     def sync(self) -> None:
         """Flush the pending buffer to stable storage (one group commit).
@@ -466,6 +522,8 @@ class Journal:
         blob.extend(record)
         self._pending.clear()  # effects already folded into the snapshot
         self._fold = None
+        if self._encoder is not None:
+            self._encoder.reset()  # the self-contained record defines nothing
         self._lsn = 1
         self._tail_frame = record
         self._records_since_checkpoint = 0
@@ -554,8 +612,8 @@ class Journal:
     def lose_pending(self) -> None:
         """Crash semantics: un-fsynced group-commit records die with the
         process.  The LSN counter rolls back with them so the on-disk chain
-        stays gapless, and the mirror is rebuilt from what is actually
-        durable."""
+        stays gapless, and the mirror and the symbol table are rebuilt from
+        what is actually durable."""
         if self._pending:
             lost = self._pending.count(b"\n")
             self.records_lost += lost
@@ -563,7 +621,7 @@ class Journal:
             self._pending.clear()
             self._pending_tail = b""
             self._fold = None
-            records, _clean, _junk = replay_blob(self.blob)
+            records, _clean, _junk = self._scan()
             self._mirror = RecoveredState(applied_records=len(records))
             for record in records:
                 self._apply(self._mirror, record["kind"], record["data"])
@@ -575,9 +633,11 @@ class Journal:
 
         Stops at the last checksum-consistent prefix (see
         :func:`replay_blob`); a corrupted tail is physically truncated so
-        post-recovery appends extend the consistent prefix, not the junk.
+        post-recovery appends extend the consistent prefix, not the junk,
+        and continue its symbol table.  Cold recovery runs it after
+        :meth:`lose_pending`, with nothing pending.
         """
-        records, clean_bytes, discarded = replay_blob(self.blob)
+        records, clean_bytes, discarded = self._scan()
         if discarded:
             self.media.truncate_tail(self.runtime.runtime_id, discarded)
             self._lsn = records[-1]["lsn"] if records else 0

@@ -2,10 +2,19 @@
 torn-tail handling, group commit, and replay into RecoveredState."""
 
 import random
+import zlib
 from types import SimpleNamespace
 
 import pytest
 
+from repro.core.codec import (
+    JOURNAL_MAGIC_BLOB,
+    BlobSymbols,
+    CodecError,
+    WireEncoder,
+    decode_journal_body,
+    encode_journal_body,
+)
 from repro.core.directory import LEASE
 from repro.core.journal import (
     DurableMedia,
@@ -27,6 +36,24 @@ from tests.core.test_directory_index import random_profile
 
 def records_of(blob):
     return replay_blob(blob)[0]
+
+
+def replayed(records):
+    """The state a replay of ``records`` rebuilds."""
+    state = RecoveredState()
+    for record in records:
+        Journal._apply(state, record["kind"], record["data"])
+    return state
+
+
+def stub_runtime():
+    """A runtime stand-in for a journal driven by hand: its group-commit
+    timer never fires (the test syncs), and traces are dropped."""
+    return SimpleNamespace(
+        runtime_id="rt-h1",
+        kernel=SimpleNamespace(call_later=lambda delay, callback: None),
+        trace=lambda *args, **kwargs: None,
+    )
 
 
 class TestRecordFraming:
@@ -100,9 +127,16 @@ class TestDurableMedia:
 
 
 class TestJournal:
+    #: Runtime keywords of every case: the paper flags, whose journal
+    #: writes canonical-JSON bodies.  ``TestJournalBinaryBodies`` runs
+    #: the same cases on the data plane's binary bodies.
+    DATA_PLANE: dict = {}
+
     def make_runtime(self, **kwargs):
         bed = build_testbed(hosts=["h1"])
-        return bed, bed.add_runtime("h1", **kwargs)
+        runtime = bed.add_runtime("h1", **self.DATA_PLANE, **kwargs)
+        assert runtime.journal.binary is bool(self.DATA_PLANE)
+        return bed, runtime
 
     def test_synchronous_append_is_immediately_durable(self):
         bed, runtime = self.make_runtime()
@@ -214,6 +248,10 @@ class TestJournal:
         journal.sync()
         lsns = [r["lsn"] for r in records_of(journal.blob)]
         assert lsns == sorted(lsns) and len(lsns) == 2
+
+
+class TestJournalBinaryBodies(TestJournal):
+    DATA_PLANE = {"batching_enabled": True}
 
 
 class TestReplaySemantics:
@@ -703,9 +741,8 @@ class TestReplaySemantics:
 class TestAmortizedSpoolRecords:
     """`append_spool` folding and the batched replay kinds it produces."""
 
-    def make_runtime(self, **kwargs):
-        bed = build_testbed(hosts=["h1"])
-        return bed, bed.add_runtime("h1", **kwargs)
+    DATA_PLANE = TestJournal.DATA_PLANE
+    make_runtime = TestJournal.make_runtime
 
     def envelope(self, seq):
         return {"kind": "message", "stream": "s", "seq": seq}
@@ -847,3 +884,300 @@ class TestAmortizedSpoolRecords:
         journal.sync()
         lsns = [r["lsn"] for r in records_of(journal.blob)]
         assert lsns == sorted(lsns) and len(set(lsns)) == len(lsns)
+
+
+class TestAmortizedSpoolRecordsBinaryBodies(TestAmortizedSpoolRecords):
+    DATA_PLANE = {"batching_enabled": True}
+
+
+class TestBinaryWalCrashBoundaries:
+    """A data-plane journal's blob cut at every record boundary and inside
+    its records.  Its blob-scoped records share one symbol table, so every
+    cut must replay, and a journal opened over a cut must continue the
+    table, through folds, JSON fallbacks, failed encodes and lost
+    group-commit windows alike."""
+
+    PEERS = ("rt-p0", "rt-p1", "rt-p2")
+
+    @staticmethod
+    def _journal(media, fsync_interval):
+        return Journal(
+            stub_runtime(), media, fsync_interval=fsync_interval, binary=True
+        )
+
+    @staticmethod
+    def _envelope(rng, peer, seq):
+        return {
+            "kind": "message",
+            "stream": f"{peer}:s{rng.randrange(3)}",
+            "seq": seq,
+            "dst": f"{peer}/display-{rng.randrange(4)}/data-in",
+            "payload": {"site": f"room-{rng.randrange(12)}", "v": rng.randrange(99)},
+        }
+
+    @staticmethod
+    def _profile(rng, translator_id, **fields):
+        """A registered profile: a fresh id and recurring strings."""
+        profile = {
+            "translator_id": translator_id,
+            "name": f"room-{rng.randrange(12)}",
+            "platform": rng.choice(("upnp", "jini", "bluetooth")),
+        }
+        profile.update(fields)
+        return {"profile": profile}
+
+    def _write(self, journal, rng):
+        """300 seeded appends.  Returns (translator id, name) for each
+        record written right after a lost group-commit window that reuses
+        a name first defined in the lost window."""
+        reused = []
+        seq = 0
+        peer = self.PEERS[0]
+        for step in range(300):
+            if rng.random() < 0.3:
+                peer = rng.choice(self.PEERS)  # runs of one peer fold
+            roll = rng.random()
+            if step == 120:
+                # An int beyond the codec's range: a canonical-JSON body.
+                journal.append("register", self._profile(rng, f"t{step}", serial=2**70))
+                journal.sync()
+            elif step == 210:
+                seq += 1
+                fresh = dict(self._envelope(rng, peer, seq), stream=f"{peer}:new")
+                journal.append_spool(peer, fresh, 40)
+                with pytest.raises(TypeError):  # folds, when group-committed
+                    journal.append_spool(
+                        peer, {"kind": "message", "payload": {"new": object()}}, 40
+                    )
+                # The failed fold kept the symbols its pending record defines.
+                journal.append("register", self._profile(rng, f"t{step}", name=f"{peer}:new"))
+            elif step % 75 == 50:
+                name = f"lost-{step}"
+                journal.append("register", self._profile(rng, f"gone-{step}", name=name))
+                journal.lose_pending()
+                journal.append("register", self._profile(rng, f"kept-{step}", name=name))
+                reused.append((f"kept-{step}", name))
+            elif roll < 0.55:
+                seq += 1
+                journal.append_spool(
+                    peer, self._envelope(rng, peer, seq), rng.randrange(20, 200)
+                )
+            elif roll < 0.7:
+                journal.append("spool-ack", {"peer": peer, "count": rng.randrange(1, 4)})
+            else:
+                journal.append("register", self._profile(rng, f"t{step}"))
+            if rng.random() < 0.2:
+                journal.sync()
+        journal.sync()
+        return reused
+
+    @pytest.fixture(params=[0.0, 1.0], ids=["sync", "group-commit"])
+    def written(self, request):
+        journal = self._journal(DurableMedia(), request.param)
+        reused = self._write(journal, random.Random(43))
+        blob = bytes(journal.blob)
+        ends = [index + 1 for index, byte in enumerate(blob) if byte == 0x0A]
+        return journal, reused, blob, list(zip([0] + ends[:-1], ends))
+
+    def test_the_blob_replays_every_record_written(self, written):
+        journal, reused, blob, spans = written
+        records, clean, junk = replay_blob(blob)
+        assert (clean, junk) == (len(blob), 0)
+        assert [r["lsn"] for r in records] == list(range(1, journal._lsn + 1))
+        bodies = {blob[start + 9] for start, _end in spans}
+        assert bodies == {JOURNAL_MAGIC_BLOB, ord("{")}
+        state = replayed(records)
+        assert state.registered == journal._mirror.registered
+        assert state.spool == journal._mirror.spool
+        # A record that reuses a string first defined in a lost record
+        # replays: the lost record's definitions left the table with it.
+        for translator_id, name in reused:
+            assert state.registered[translator_id]["name"] == name
+        if journal.fsync_interval:
+            assert journal.spool_folds > 0
+            assert not [t for t in state.registered if t.startswith("gone-")]
+
+    def _append_ten(self, media, fsync_interval):
+        """Open a journal over ``media`` and append ten records that
+        reference strings a cut defined and define one string each;
+        returns the journal and the records its blob replays to."""
+        reopened = self._journal(media, fsync_interval)
+        for index in range(10):
+            reopened.append("register", {"profile": {
+                "translator_id": f"more-{index}",
+                "name": f"room-{index}",
+                "dst": f"{self.PEERS[index % 3]}/display-{index % 4}/data-in",
+            }})
+        reopened.sync()
+        records, _clean, junk = replay_blob(media.blob("rt-h1"))
+        assert junk == 0
+        state = replayed(records)
+        assert state.registered == reopened._mirror.registered
+        assert [state.registered[f"more-{i}"]["name"] for i in range(10)] == [
+            f"room-{i}" for i in range(10)
+        ]
+        return reopened, records
+
+    def test_every_record_boundary_cut_replays_and_takes_new_records(self, written):
+        journal, _reused, blob, spans = written
+        records = records_of(blob)
+        assert len(records) == len(spans)
+        for index, cut in enumerate([start for start, _end in spans] + [len(blob)]):
+            media = DurableMedia()
+            media.blob("rt-h1").extend(blob[:cut])
+            reopened, replayed_records = self._append_ten(media, journal.fsync_interval)
+            # The cut replays to exactly the records before it, and the
+            # ten appended after it follow them.
+            assert replayed_records[:index] == records[:index], cut
+            assert len(replayed_records) == index + 10
+            assert reopened.tail_repairs == 0
+
+    def test_every_torn_cut_replays_one_record_fewer(self, written):
+        journal, _reused, blob, spans = written
+        records = records_of(blob)
+        rng = random.Random(47)
+        for index, (start, end) in enumerate(spans):
+            cut = rng.randrange(start + 1, end)
+            assert replay_blob(blob[:cut]) == (records[:index], start, cut - start)
+            if index % 10 == 0:
+                # A journal opened over a torn cut rewrites its blob from
+                # the replayed records before the first flush.
+                media = DurableMedia()
+                media.blob("rt-h1").extend(blob[:cut])
+                reopened, _records = self._append_ten(media, journal.fsync_interval)
+                assert reopened.tail_repairs == 1
+
+
+#: A blob written by a data-plane journal before blob-scoped bodies existed:
+#: a compressed checkpoint (``0xB3``), a spool-batch and a spool-ack with
+#: self-contained bodies (``0xB2``), and a register whose int is beyond the
+#: codec's range (canonical JSON).
+SELF_CONTAINED_BLOB = bytes.fromhex(
+    "383264396431333720b3789c5dcbb10e8230180061d282f6fe59376727517010024f"
+    "4322d0029a46ebe0dbdb303a7cd3e58c6667369c8c965e85c264dce8a9644897eee1"
+    "a9654c3ffee969c566af90db9246dcf6eede7ee9be32a950aecb44c540cd488ba5c1"
+    "c9acc2754df37f223709e7e8105da2224a38b2d7ea078cb218080a"
+    "333034323933666220b208030914080209161b6e650572742d683209180701070208"
+    "0509000901090c1b6e660872742d68313a7031090d0302091b6e1b6e671572742d68"
+    "322f646973706c61792f646174612d696e090608011b6e680176030203500900091d"
+    "091503040a"
+    "656234383730303120b208030914080209161b6e650572742d683209030302090009"
+    "1e091503060a"
+    "3562396262383165207b2264617461223a7b2270726f66696c65223a7b2273657269"
+    "616c223a313138303539313632303731373431313330333432342c227472616e736c"
+    "61746f725f6964223a227439227d7d2c226b696e64223a227265676973746572222c"
+    "226c736e223a347d0a"
+)
+LAMP = {"name": "lamp", "platform": "upnp", "runtime_id": "rt-h1", "role": "display"}
+SPOOLED = {
+    "kind": "message",
+    "stream": "rt-h1:p1",
+    "seq": 1,
+    "dst": "rt-h2/display/data-in",
+    "payload": {"v": 1},
+}
+
+
+class TestBlobScopedBodies:
+    """Blob-scoped bodies next to blobs written before them, and read the
+    wrong way."""
+
+    def test_a_blob_of_self_contained_bodies_replays_unchanged(self):
+        empty = {"bindings": {}, "paths": {}, "spool": {}, "stream_seqs": {}, "breakers": {}}
+        registered = {t: dict(LAMP, translator_id=t) for t in ("t0", "t1", "t2")}
+        records, clean, junk = replay_blob(SELF_CONTAINED_BLOB)
+        assert (clean, junk) == (len(SELF_CONTAINED_BLOB), 0)
+        assert records == [
+            {"data": dict(empty, registered=registered), "kind": "checkpoint", "lsn": 1},
+            {
+                "data": {"peer": "rt-h2", "entries": [[SPOOLED, 40]]},
+                "kind": "spool-batch",
+                "lsn": 2,
+            },
+            {"data": {"peer": "rt-h2", "count": 1}, "kind": "spool-ack", "lsn": 3},
+            {
+                "data": {"profile": {"serial": 2**70, "translator_id": "t9"}},
+                "kind": "register",
+                "lsn": 4,
+            },
+        ]
+
+    def test_a_journal_opened_on_it_appends_blob_scoped_records(self):
+        media = DurableMedia()
+        media.blob("rt-h1").extend(SELF_CONTAINED_BLOB)
+        journal = Journal(stub_runtime(), media, binary=True)
+        journal.append_spool("rt-h2", dict(SPOOLED, seq=2), 40)
+        journal.append("register", {"profile": dict(LAMP, translator_id="t3")})
+        journal.append("register", {"profile": dict(LAMP, translator_id="t4")})
+        blob = bytes(media.blob("rt-h1"))
+        assert blob.startswith(SELF_CONTAINED_BLOB)
+        tail = blob[len(SELF_CONTAINED_BLOB):].split(b"\n")[:-1]
+        assert [line[9] for line in tail] == [JOURNAL_MAGIC_BLOB] * 3
+        assert len(tail[2]) < len(tail[1])  # t4 reuses the strings t3 defined
+        records, _clean, junk = replay_blob(blob)
+        assert junk == 0
+        assert records[:4] == records_of(SELF_CONTAINED_BLOB)
+        assert [r["data"] for r in records[4:]] == [
+            {"peer": "rt-h2", "entries": [[dict(SPOOLED, seq=2), 40]]},
+            {"profile": dict(LAMP, translator_id="t3")},
+            {"profile": dict(LAMP, translator_id="t4")},
+        ]
+        assert set(Journal(stub_runtime(), media).replay().registered) == {
+            "t0", "t1", "t2", "t3", "t4", "t9",
+        }
+
+    def test_a_blob_scoped_body_needs_its_blobs_table(self):
+        table = WireEncoder()
+        first, second, third = (
+            encode_journal_body(
+                {"data": {"name": name, "id": f"t{lsn}"}, "kind": "register", "lsn": lsn},
+                table=table,
+            )
+            for lsn, name in ((1, "lamp"), (2, "lamp"), (3, "desk"))
+        )
+        for body in (first, second, third):
+            with pytest.raises(CodecError, match="without its blob's table"):
+                decode_journal_body(body)
+        symbols = BlobSymbols()
+        with pytest.raises(CodecError, match="undefined symbol"):
+            decode_journal_body(second, table=symbols)
+        with pytest.raises(CodecError, match="out of order"):
+            decode_journal_body(third, table=symbols)
+        with pytest.raises(CodecError, match="truncated"):
+            decode_journal_body(first[:-1], table=symbols)
+        assert symbols == {}  # each failed decode defined nothing
+        for lsn, body in enumerate((first, second, third), start=1):
+            name = "desk" if lsn == 3 else "lamp"
+            assert decode_journal_body(body, table=symbols)["data"] == {
+                "name": name, "id": f"t{lsn}",
+            }
+        assert sorted(symbols.values()) == ["desk", "lamp", "t1", "t2", "t3"]
+
+    def test_replay_stops_at_a_reference_no_earlier_record_defined(self):
+        journal = Journal(stub_runtime(), DurableMedia(), binary=True)
+        journal.append("register", {"profile": {"translator_id": "t1", "name": "lamp"}})
+        # A writer whose table ran ahead of the blob's names "ghost" by an
+        # id no record in the blob defined; its record's CRC is valid.
+        ahead = WireEncoder()
+        encode_journal_body({"data": ["t1", "lamp", "ghost"]}, table=ahead)
+        body = encode_journal_body(
+            {"data": {"profile": {"translator_id": "ghost"}}, "kind": "register", "lsn": 2},
+            table=ahead,
+        )
+        rogue = b"%08x " % zlib.crc32(body) + body + b"\n"
+        good = bytes(journal.blob)
+        blob = good + rogue + encode_record(3, "register", {"profile": {"translator_id": "t3"}})
+        symbols = BlobSymbols()
+        records, clean, junk = replay_blob(blob, symbols)
+        assert [r["lsn"] for r in records] == [1]
+        assert (clean, junk) == (len(good), len(blob) - len(good))
+        assert sorted(symbols.values()) == ["lamp", "t1"]
+        # A record that decodes but breaks the LSN chain defines nothing.
+        gap = encode_record(
+            5, "register", {"profile": {"translator_id": "t2", "name": "desk"}},
+            binary=True, table=symbols.encoder(),
+        )
+        symbols = BlobSymbols()
+        assert replay_blob(good + gap, symbols)[1:] == (len(good), len(gap))
+        assert sorted(symbols.values()) == ["lamp", "t1"]
+
