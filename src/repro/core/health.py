@@ -290,9 +290,6 @@ class HealthMonitor:
         record = self._local.get(translator_id)
         return record.state if record is not None else HealthState.HEALTHY
 
-    def forget_translator(self, translator_id: str) -> None:
-        self._local.pop(translator_id, None)
-
     def _set_local(
         self,
         translator_id: str,

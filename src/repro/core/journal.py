@@ -108,9 +108,6 @@ class DurableMedia:
     def size(self, runtime_id: str) -> int:
         return len(self._blobs.get(runtime_id, b""))
 
-    def erase(self, runtime_id: str) -> None:
-        self._blobs.pop(runtime_id, None)
-
     # -- corruption hooks (chaos's JournalCorruption fault) -----------------
 
     def truncate_tail(self, runtime_id: str, nbytes: int) -> int:

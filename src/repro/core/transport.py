@@ -8,7 +8,9 @@ Responsibilities:
   consumer side is slower) and an optional :class:`~repro.core.qos.QosPolicy`.
 - **Inter-node delivery**: translators on different uMiddle runtimes
   communicate through per-peer TCP streams carrying envelope-marshaled
-  messages (Figure 5's transport modules on hosts H1/H2).
+  messages (Figure 5's transport modules on hosts H1/H2).  One sender
+  process per peer drains that peer's spool; the data-plane switch sets
+  its caps and frame encoding.
 - **Remote path control**: a runtime may request a *peer* runtime to create
   or tear down a path whose source port lives on that peer, so applications
   can wire any two ports in the federation from wherever they run.
@@ -59,13 +61,15 @@ ENVELOPE_HEADER_BYTES = 64
 
 
 class _AdaptiveBatch:
-    """Per-peer load-adaptive batching state (data plane on).
+    """Per-peer sender caps: envelopes and bytes per frame, frames in
+    flight, and the pre-send flush delay.
 
-    Caps start at the base batch constants and move with observed
-    backlog: they grow while the outbox outruns a full pipeline window
-    and decay back once the peer has been idle, so sustained throughput
-    gets big frames and wide windows while a quiet peer keeps
-    single-frame latency.
+    On the data plane the caps start at the base batch constants and
+    move with observed backlog: they grow while the outbox outruns a full
+    pipeline window and decay back once the peer has been idle, so
+    sustained throughput gets big frames and wide windows while a quiet
+    peer keeps single-frame latency.  On the paper plane they stay at one
+    envelope per frame and one frame in flight.
     """
 
     __slots__ = ("max_envelopes", "max_bytes", "window", "flush_delay_s",
@@ -337,15 +341,17 @@ class Transport:
         self.runtime = runtime
         self.port = port
         #: The sender's own flags pick the wire form; every receiver decodes
-        #: every frame kind.  With the data plane on, the per-peer senders
-        #: coalesce envelopes into pipelined, load-adaptive batch frames in
-        #: the binary codec, delta-encoding the headers inside each batch;
-        #: with it off they reproduce the stop-and-wait JSON wire and
-        #: journal behavior byte for byte.
+        #: every frame kind.  One per-peer sender serves both planes, and
+        #: the plane sets its caps and frame encoding.  With the data plane
+        #: on, it coalesces envelopes into pipelined, load-adaptive batch
+        #: frames in the binary codec, delta-encoding the headers inside
+        #: each batch; with it off, one bare JSON envelope per frame and
+        #: one frame in flight reproduce the paper's stop-and-wait wire and
+        #: journal bytes.
         self.data_plane = runtime.data_plane_enabled
         #: Per-peer symbol-interning encoders, reset with their stream.
         self._encoders: Dict[str, WireEncoder] = {}
-        #: Per-peer adaptive batching state.
+        #: Per-peer sender caps (adaptive on the data plane only).
         self._adaptive: Dict[str, _AdaptiveBatch] = {}
         self.codec_frames_sent = 0
         self.codec_fallbacks = 0
@@ -803,9 +809,8 @@ class Transport:
         }
 
     def _spawn_sender(self, runtime_id: str) -> None:
-        sender = self._peer_sender_batched if self.data_plane else self._peer_sender
         self._peer_senders[runtime_id] = self.runtime.kernel.process(
-            sender(runtime_id),
+            self._peer_sender(runtime_id),
             name=f"peer-sender:{self.runtime.runtime_id}->{runtime_id}",
         )
 
@@ -826,8 +831,8 @@ class Transport:
         return wakeup
 
     def _record_delivery_success(self, runtime_id: str) -> None:
-        """Post-ack bookkeeping shared by both sender modes: a delivered
-        probe closes the peer's breaker, and health hears the success."""
+        """Post-ack bookkeeping: a delivered probe closes the peer's
+        breaker, and health hears the success."""
         runtime = self.runtime
         breaker = self._breakers.get(runtime_id)
         if breaker is not None and not breaker.is_closed:
@@ -843,7 +848,7 @@ class Transport:
         self, runtime_id: str, attempts: int, exc: Exception
     ) -> Tuple[int, Optional[float]]:
         """Retry/drop/breaker bookkeeping after one failed delivery
-        attempt, shared by both sender modes.
+        attempt.
 
         Returns ``(attempts, backoff_s)``; a ``None`` backoff means the
         head envelope was dropped (budget exhausted, or a failed breaker
@@ -913,11 +918,16 @@ class Transport:
     def _adaptive_state(self, runtime_id: str) -> _AdaptiveBatch:
         state = self._adaptive.get(runtime_id)
         if state is None:
-            state = _AdaptiveBatch(
-                self.BATCH_MAX_ENVELOPES,
-                self.BATCH_MAX_BYTES,
-                self.PIPELINE_WINDOW,
-            )
+            if self.data_plane:
+                state = _AdaptiveBatch(
+                    self.BATCH_MAX_ENVELOPES,
+                    self.BATCH_MAX_BYTES,
+                    self.PIPELINE_WINDOW,
+                )
+            else:
+                # The paper's stop-and-wait: one envelope per frame, one
+                # frame in flight, never adapted.
+                state = _AdaptiveBatch(1, self.BATCH_MAX_BYTES, 1)
             self._adaptive[runtime_id] = state
         return state
 
@@ -986,46 +996,84 @@ class Transport:
                 )
 
     def _peer_sender(self, runtime_id: str) -> Generator:
-        """Drains the outbox for one peer over a single stream: the paper's
-        stop-and-wait JSON path (data plane off).
+        """Drains the outbox for one peer over a single stream.
 
-        Serializes envelope marshaling with TCP per-segment processing, the
-        way a single sender thread would.  Failed deliveries are retried
-        with exponential backoff; only an envelope that exhausts its
-        attempt budget is dropped, and that also reaps the peer's
-        directory entries (it is conclusively unreachable).
+        Peeks runs of outbox entries into frames, keeps up to the window
+        of frames in flight, then blocks once on the stream's drain
+        barrier and acks every in-flight frame in order -- one journaled
+        ``spool-ack`` per frame.  The plane sets the caps: the data plane
+        ships load-adaptive batches, pipelined; the paper plane's caps
+        stay at one envelope per frame and one frame in flight, its
+        stop-and-wait.  Marshaling is serialized with TCP per-segment
+        processing, the way a single sender thread would.
+
+        Because the outbox is peeked (not popped) until the barrier, a
+        crash at any point leaves the journal and the spool aligned:
+        replay respools exactly the unacked suffix, and the receiver's
+        dedup window suppresses whatever the wire already delivered.
+        Failed deliveries are retried with exponential backoff; only an
+        envelope that exhausts its attempt budget is dropped, and that
+        also reaps the peer's directory entries (it is conclusively
+        unreachable).
         """
         runtime = self.runtime
         kernel = runtime.kernel
-        umiddle = runtime.calibration.umiddle
+        data_plane = self.data_plane
         outbox = self._peer_outboxes[runtime_id]
+        caps = self._adaptive_state(runtime_id)
         attempts = 0
         try:
             while True:
                 if not outbox:
                     yield self._park_for_outbox(runtime_id)
                     continue
-                _rid, envelope, size = outbox[0]
+                if caps.flush_delay_s > 0.0 and len(outbox) < caps.max_envelopes:
+                    # A hot producer keeps trickling: wait briefly so the
+                    # forming batch fills instead of shipping underfull.
+                    # The delay is zero whenever the peer recently drained,
+                    # so idle-load latency is untouched.
+                    yield kernel.timeout(caps.flush_delay_s)
                 try:
                     stream = self._peer_streams.get(runtime_id)
                     if stream is None or stream.closed:
                         stream = yield from self._open_peer_stream(runtime_id)
-                    yield kernel.timeout(
-                        umiddle.envelope_fixed_s + umiddle.envelope_per_byte_s * size
-                    )
-                    yield from stream.send_inline(
-                        envelope, size + ENVELOPE_HEADER_BYTES
-                    )
-                    # Only count the envelope delivered once the peer's TCP
-                    # has acknowledged it; a stream dying with data in its
-                    # send window must re-deliver, not silently drop.
-                    yield from stream.drained_wait()
-                    outbox.popleft()
-                    runtime.journal.append("spool-ack", {"peer": runtime_id})
-                    attempts = 0
-                    self.messages_relayed += 1
-                    self._record_delivery_success(runtime_id)
+                    inflight: List[int] = []
+                    while outbox:
+                        staged = 0
+                        for _frame in range(caps.window):
+                            count = yield from self._send_batch(
+                                stream, outbox, staged, caps, runtime_id
+                            )
+                            staged += count
+                            inflight.append(count)
+                            if staged >= len(outbox):
+                                break
+                        # In-order ack barrier: an envelope counts as
+                        # delivered only once the peer's TCP acknowledged
+                        # it; a stream dying with data in its send window
+                        # must re-deliver, not silently drop.
+                        yield from stream.drained_wait()
+                        for count in inflight:
+                            acked = min(count, len(outbox))
+                            for _ in range(acked):
+                                outbox.popleft()
+                            runtime.journal.append(
+                                "spool-ack",
+                                {"count": count, "peer": runtime_id}
+                                if data_plane
+                                else {"peer": runtime_id},
+                            )
+                            self.messages_relayed += acked
+                        inflight.clear()
+                        attempts = 0
+                        self._record_delivery_success(runtime_id)
+                        if data_plane:
+                            self._adapt_batching(runtime_id, caps, len(outbox))
                 except (SocketError, TransportError) as exc:
+                    # In-flight entries were never popped; they are still
+                    # the head of the outbox (and of the journal's FIFO),
+                    # so the retry re-sends them and the receiver's dedup
+                    # window suppresses any the wire already delivered.
                     attempts, backoff = self._handle_send_failure(
                         runtime_id, attempts, exc
                     )
@@ -1039,38 +1087,23 @@ class Transport:
             if current is not None and current is kernel.active_process:
                 del self._peer_senders[runtime_id]
 
-    @staticmethod
-    def _form_batch(
-        outbox: Deque[Tuple[str, dict, int]],
-        start: int,
-        max_envelopes: int,
-        max_bytes: int,
-    ) -> List[Tuple[str, dict, int]]:
-        """Copy up to ``max_envelopes``/``max_bytes`` head entries (the
-        adaptive controller's live caps) beginning at ``start`` (entries
-        before it are already staged in an in-flight batch).  The outbox
-        is only *peeked*: entries are popped at ack time, so the journal's
-        FIFO view and the in-memory spool stay aligned even if the sender
-        dies mid-flight."""
-        batch: List[Tuple[str, dict, int]] = []
-        total = 0
-        for entry in itertools.islice(outbox, start, None):
-            size = entry[2]
-            if batch and (len(batch) >= max_envelopes or total + size > max_bytes):
-                break
-            batch.append(entry)
-            total += size
-        return batch
-
     def _send_batch(
         self,
         stream: StreamSocket,
-        batch: List[Tuple[str, dict, int]],
+        outbox: Deque[Tuple[str, dict, int]],
+        start: int,
+        caps: _AdaptiveBatch,
         runtime_id: str,
     ) -> Generator:
-        """Marshal and transmit one coalesced batch frame.
+        """Marshal and transmit one frame of the outbox entries from
+        ``start`` on (entries before it ride in frames already in flight);
+        returns how many envelopes the frame carries.
 
-        One fixed marshal cost covers the whole frame (that is the
+        On the paper plane the frame is the bare JSON envelope, charged
+        its declared size plus ``ENVELOPE_HEADER_BYTES``.  On the data
+        plane up to the caps' envelopes and bytes coalesce into one frame
+        (a single envelope larger than the byte cap still ships, alone),
+        and one fixed marshal cost covers it all (that is the
         amortization); the per-byte cost still scales with the payload.
         The batch ships as one interned binary frame whose *actual*
         encoded bytes drive both the marshal cost and the wire
@@ -1078,9 +1111,21 @@ class Transport:
         the JSON batch dict."""
         kernel = self.runtime.kernel
         umiddle = self.runtime.calibration.umiddle
-        total = 0
+        if not self.data_plane:
+            _rid, envelope, size = outbox[start]
+            yield kernel.timeout(
+                umiddle.envelope_fixed_s + umiddle.envelope_per_byte_s * size
+            )
+            yield from stream.send_inline(envelope, size + ENVELOPE_HEADER_BYTES)
+            return 1
         envelopes = []
-        for _rid, envelope, size in batch:
+        total = 0
+        for _rid, envelope, size in itertools.islice(outbox, start, None):
+            if envelopes and (
+                len(envelopes) >= caps.max_envelopes
+                or total + size > caps.max_bytes
+            ):
+                break
             envelopes.append(envelope)
             total += size
         binary = self._encode_batch(runtime_id, envelopes)
@@ -1102,82 +1147,7 @@ class Transport:
         )
         yield from stream.send_inline(frame, wire_size)
         self.batches_sent += 1
-
-    def _peer_sender_batched(self, runtime_id: str) -> Generator:
-        """Batched + pipelined variant of :meth:`_peer_sender` (data plane
-        on).
-
-        Peeks runs of outbox entries into coalesced batch frames, keeps up
-        to the adaptive window of batches in flight, then blocks once on the
-        stream's drain barrier and acks every in-flight batch in order --
-        one journaled ``spool-ack {count: k}`` per batch.  Because the
-        outbox is peeked (not popped) until the barrier, a crash at any
-        point leaves the journal and the spool aligned: replay respools
-        exactly the unacked suffix, and the receiver's dedup window
-        suppresses whatever the wire already delivered."""
-        runtime = self.runtime
-        kernel = runtime.kernel
-        outbox = self._peer_outboxes[runtime_id]
-        adapt = self._adaptive_state(runtime_id)
-        attempts = 0
-        try:
-            while True:
-                if not outbox:
-                    yield self._park_for_outbox(runtime_id)
-                    continue
-                if adapt.flush_delay_s > 0.0 and len(outbox) < adapt.max_envelopes:
-                    # A hot producer keeps trickling: wait briefly so the
-                    # forming batch fills instead of shipping underfull.
-                    # The delay is zero whenever the peer recently drained,
-                    # so idle-load latency is untouched.
-                    yield kernel.timeout(adapt.flush_delay_s)
-                try:
-                    stream = self._peer_streams.get(runtime_id)
-                    if stream is None or stream.closed:
-                        stream = yield from self._open_peer_stream(runtime_id)
-                    inflight: List[int] = []
-                    staged = 0
-                    while staged < len(outbox) or inflight:
-                        while staged < len(outbox) and len(inflight) < adapt.window:
-                            batch = self._form_batch(
-                                outbox, staged, adapt.max_envelopes, adapt.max_bytes
-                            )
-                            if not batch:
-                                break
-                            staged += len(batch)
-                            yield from self._send_batch(stream, batch, runtime_id)
-                            inflight.append(len(batch))
-                        # In-order ack barrier: everything sent so far is
-                        # acknowledged together, then journaled per batch.
-                        yield from stream.drained_wait()
-                        for count in inflight:
-                            acked = 0
-                            while acked < count and outbox:
-                                outbox.popleft()
-                                acked += 1
-                            runtime.journal.append(
-                                "spool-ack", {"count": count, "peer": runtime_id}
-                            )
-                            self.messages_relayed += acked
-                        inflight.clear()
-                        staged = 0
-                        attempts = 0
-                        self._record_delivery_success(runtime_id)
-                        self._adapt_batching(runtime_id, adapt, len(outbox))
-                except (SocketError, TransportError) as exc:
-                    # In-flight entries were never popped; they are still
-                    # the head of the outbox (and of the journal's FIFO),
-                    # so the retry re-sends them and the receiver's dedup
-                    # window suppresses any the wire already delivered.
-                    attempts, backoff = self._handle_send_failure(
-                        runtime_id, attempts, exc
-                    )
-                    if backoff is not None:
-                        yield kernel.timeout(backoff)
-        finally:
-            current = self._peer_senders.get(runtime_id)
-            if current is not None and current is kernel.active_process:
-                del self._peer_senders[runtime_id]
+        return len(envelopes)
 
     def _trip_breaker(self, runtime_id: str, exc: Exception) -> None:
         """Open (or re-open) the delivery breaker for ``runtime_id`` after
@@ -1309,48 +1279,24 @@ class Transport:
                     umiddle.envelope_fixed_s + umiddle.envelope_per_byte_s * total
                 )
                 for inner in inner_envelopes:
-                    self._handle_envelope(inner)
+                    if not self._is_duplicate(inner):
+                        self._dispatch_envelope(inner.get("kind"), inner)
                 continue
-            origin = envelope.get("origin")
-            stream_key = envelope.get("stream")
-            seq = envelope.get("seq")
-            if (
-                origin is not None
-                and stream_key is not None
-                and isinstance(seq, int)
-                and self._is_duplicate(origin, stream_key, seq)
-            ):
+            # A bare envelope is deduped before its unmarshal charge, and
+            # a control envelope pays none.
+            if self._is_duplicate(envelope):
                 continue
             if kind == "message":
                 size = _wire_size if binary else envelope["size"]
                 yield kernel.timeout(
                     umiddle.envelope_fixed_s + umiddle.envelope_per_byte_s * size
                 )
-                self._deliver_envelope(envelope)
-            else:
-                self._handle_control_envelope(kind, envelope)
+            self._dispatch_envelope(kind, envelope)
 
-    def _handle_envelope(self, envelope: dict) -> None:
-        """Dedup and dispatch one envelope unpacked from a batch frame
-        (the frame-level unmarshal cost was already charged)."""
-        origin = envelope.get("origin")
-        stream_key = envelope.get("stream")
-        seq = envelope.get("seq")
-        if (
-            origin is not None
-            and stream_key is not None
-            and isinstance(seq, int)
-            and self._is_duplicate(origin, stream_key, seq)
-        ):
-            return
-        kind = envelope.get("kind")
+    def _dispatch_envelope(self, kind: Optional[str], envelope: dict) -> None:
         if kind == "message":
             self._deliver_envelope(envelope)
-        else:
-            self._handle_control_envelope(kind, envelope)
-
-    def _handle_control_envelope(self, kind: Optional[str], envelope: dict) -> None:
-        if kind == "connect":
+        elif kind == "connect":
             self._handle_connect_request(envelope)
         elif kind == "disconnect":
             path = self._paths_by_id.get(envelope["path_id"])
@@ -1365,8 +1311,11 @@ class Transport:
                 "transport.protocol-error", f"unknown envelope kind {kind!r}"
             )
 
-    def _is_duplicate(self, origin: str, stream: str, seq: int) -> bool:
-        """Receiver-side exactly-once window.
+    def _is_duplicate(self, envelope: dict) -> bool:
+        """Receiver-side exactly-once window: True, counted and traced,
+        when the envelope's (origin, stream, seq) stamp is at or below its
+        stream's high-water mark.  Unstamped envelopes (saga traffic,
+        whose journaled reply cache owns idempotency) always pass.
 
         Per-peer delivery is FIFO over one TCP stream and post-recovery
         respools replay in spool order, so a high-water mark per
@@ -1376,6 +1325,11 @@ class Transport:
         The window itself is in-memory -- a receiver that cold-restarts
         forgets it, the documented at-most-once corner of the model.
         """
+        origin = envelope.get("origin")
+        stream = envelope.get("stream")
+        seq = envelope.get("seq")
+        if origin is None or stream is None or not isinstance(seq, int):
+            return False
         key = (origin, stream)
         high_water = self._dedup.get(key)
         if high_water is not None:

@@ -638,16 +638,6 @@ class StreamSocket:
         if self.closed:
             raise ConnectionClosed("stream closed")
 
-    def batch_budget(self, total_bytes: int) -> int:
-        """Wire segments a message of ``total_bytes`` would occupy.
-
-        Sizing helper for frame coalescing: callers packing many small
-        messages into one stream frame can see how many MTU-sized segments
-        (each paying per-segment processing) the coalesced frame costs.
-        """
-        mss = self.costs.mtu_bytes - self.costs.tcp_header_bytes
-        return max(1, -(-max(total_bytes, 1) // mss))
-
     def _start_pump(self) -> None:
         if not self._pump_running and self.connected and not self.closed:
             self._pump_running = True

@@ -10,6 +10,8 @@ per-envelope kinds, and the off switch reproducing the legacy wire and
 journal behavior exactly.
 """
 
+import pytest
+
 from repro.core.journal import replay_blob
 from repro.core.messages import UMessage
 from repro.core.qos import QosPolicy
@@ -269,3 +271,57 @@ class TestAdaptiveBatching:
             ceilings, (128, 32768, 8), (64, 16384, 4), base, base
         ]
         assert transport.batch_adaptations == 3 + 5 + 3
+
+
+class TestSpoolOverflowInFlight:
+    """A full spool evicts ``outbox[0]`` on the next enqueue, but the
+    sender pops outbox entries only when their frame is acked.  So while
+    a frame is in flight the eviction takes an envelope the frame
+    carries, the ack round pops one envelope more than the frame sent,
+    and the one envelope lost is the oldest that no frame carried yet.
+    The evicted head itself is delivered: its frame was already formed.
+    """
+
+    @pytest.mark.parametrize(
+        "data_plane", [False, True], ids=["paper-plane", "data-plane"]
+    )
+    def test_eviction_loses_the_oldest_unframed_envelope(self, data_plane):
+        bed, producer, out, sinks = build_pipeline(batching_enabled=data_plane)
+        transport = producer.transport
+        kernel = bed.kernel
+        receiver, _sink, received = sinks[0]
+        (path,) = transport.paths_from(out)
+        # Open the peer stream first, so the burst's first frame leaves
+        # at once.
+        out.send(UMessage("text/plain", "warmup", 40))
+        bed.settle(1.0)
+        assert [m.payload for m in received] == ["warmup"]
+        relayed_before = transport.messages_relayed
+
+        capacity = transport.SPOOL_CAPACITY
+        for index in range(capacity):
+            transport._enqueue_remote(
+                path.dst, UMessage("text/plain", f"m{index}", 40), path=path
+            )
+        stream = transport._peer_streams[receiver.runtime_id]
+        frames_before = stream.messages_sent
+        deadline = kernel.now + 1.0
+        while stream.messages_sent == frames_before and kernel.now < deadline:
+            kernel.step()
+        assert stream.messages_sent == frames_before + 1
+        # The first frame is on the wire and the spool is full: one more
+        # envelope evicts the head.
+        transport._enqueue_remote(
+            path.dst, UMessage("text/plain", f"m{capacity}", 40), path=path
+        )
+        bed.settle(30.0)
+
+        framed = transport.BATCH_MAX_ENVELOPES if data_plane else 1
+        sent = [f"m{index}" for index in range(capacity + 1)]
+        assert transport.spool_dropped == 1
+        assert [m.payload for m in received[1:]] == [
+            payload for payload in sent if payload != f"m{framed}"
+        ]
+        assert receiver.transport.duplicates_suppressed == 0
+        relayed = transport.messages_relayed - relayed_before
+        assert relayed + transport.spool_dropped == len(sent)

@@ -533,21 +533,3 @@ class TestDrainedWait:
 
         kernel.process(server(kernel))
         assert kernel.run_process(client(kernel)) == "failed"
-
-    def test_batch_budget_counts_segments(self, kernel, lan, net_costs):
-        _, a, b = lan
-        kernel.process(echo_server(b, net_costs, 80)(kernel))
-
-        def client(k):
-            stream = yield StreamSocket.connect(a, net_costs, b.address, 80)
-            mss = net_costs.mtu_bytes - net_costs.tcp_header_bytes
-            budgets = (
-                stream.batch_budget(1),
-                stream.batch_budget(mss),
-                stream.batch_budget(mss + 1),
-                stream.batch_budget(10 * mss),
-            )
-            stream.close()
-            return budgets
-
-        assert kernel.run_process(client(kernel)) == (1, 1, 2, 10)
