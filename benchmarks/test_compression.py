@@ -228,14 +228,13 @@ def bench_default_off_burst() -> dict:
     assert len(received) == 200
     for runtime in (producer, consumer):
         assert runtime.transport.batches_sent == 0
-        assert runtime.transport.delta_batches_sent == 0
         assert runtime.transport.codec_frames_sent == 0
         assert runtime.shards.z_frames_sent == 0
         assert runtime.shards.z_bytes_saved == 0
     return {
         "messages": 200,
         "batches_sent": producer.transport.batches_sent,
-        "delta_batches_sent": producer.transport.delta_batches_sent,
+        "codec_frames_sent": producer.transport.codec_frames_sent,
         "z_frames_sent": producer.shards.z_frames_sent,
     }
 
@@ -283,5 +282,5 @@ def test_compression(compare):
     assert full_state["ingest_latency_ratio"] <= 1.1, full_state
     # Acceptance: the paper flags never compress (counters asserted
     # inline).
-    assert default_off["delta_batches_sent"] == 0
+    assert default_off["codec_frames_sent"] == 0
     assert default_off["z_frames_sent"] == 0

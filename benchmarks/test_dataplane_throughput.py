@@ -142,7 +142,6 @@ def run_fanout(peers: int, batching: bool, structured: bool = False,
         "journal_bytes": producer.journal.bytes_written,
         "spool_folds": producer.journal.spool_folds,
         "codec_frames_sent": producer.transport.codec_frames_sent,
-        "codec_fallbacks": producer.transport.codec_fallbacks,
         "batch_adaptations": producer.transport.batch_adaptations,
     }
 

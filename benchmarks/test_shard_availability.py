@@ -39,6 +39,8 @@ from repro.core.runtime import UMiddleRuntime
 from repro.core.shapes import Direction, PortSpec, Shape
 from repro.testbed import build_testbed
 
+from conftest import timed_without_gc
+
 POPULATION = 5_000
 NODES = 8
 SHARD_COUNT = 1024
@@ -195,9 +197,7 @@ def bench_degraded_reads(bed) -> dict:
             for profile in survivor.shards.replicas.get(shard).entries.values():
                 promoted.append(profile)
                 promoted_shards.append([shard])
-        start = time.perf_counter()
-        survivor.shards._warm_ingest(held)
-        warm_s += time.perf_counter() - start
+        warm_s += timed_without_gc(lambda: survivor.shards._warm_ingest(held))
     assert promoted, "no survivor held a replica slice of a victim shard"
     warm_count = len(promoted)
 
@@ -217,9 +217,7 @@ def bench_degraded_reads(bed) -> dict:
             shard_count=SHARD_COUNT,
         )
         receiver.shards.seed_members([receiver.runtime_id])
-        start = time.perf_counter()
-        receiver.shards.handle(payload)
-        cold_s = min(cold_s, time.perf_counter() - start)
+        cold_s = min(cold_s, timed_without_gc(lambda: receiver.shards.handle(payload)))
         assert receiver.shards.store.profile_count == len(
             {p.translator_id for p in promoted}
         )

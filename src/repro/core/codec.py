@@ -47,15 +47,23 @@ models the native data's bytes.  The codec therefore inline-encodes only
 *structured* payloads (dicts/lists -- data whose wire form is the
 structure itself) and carries every other payload out of band at its
 declared size (an ``OBJ`` placeholder in the byte stream, the object
-riding alongside in :attr:`BinaryFrame.objs`).  Anything the codec cannot
-represent -- including ints outside ``-2**69 .. 2**69 - 1``, which a
-10-byte varint cannot carry -- falls back to the canonical-JSON wire path
-per frame, counted by the transport's ``codec.fallback`` trace.
+riding alongside in :attr:`BinaryFrame.objs`).
+
+The codec carries every value canonical JSON carries -- ints of any
+width, strings holding lone surrogates -- so the only values it refuses
+are ones JSON refuses too: objects that are not data.  In an envelope
+such an object can only sit in one of the two fields a caller fills,
+and a ``payload`` or ``headers`` the codec cannot encode inline rides
+out of band as well (``payload`` at its declared size, ``headers`` at
+none).  Gossip and journal bodies have no out-of-band channel, so there
+it raises :class:`TypeError`, like ``json.dumps``.  No caller keeps a
+second encoding for values the codec refuses.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
 from typing import Any, Dict, Iterator, List, Optional, Tuple
@@ -92,6 +100,7 @@ _T_MAP = 0x08
 _T_SYM = 0x09
 _T_SYMDEF = 0x0A
 _T_OBJ = 0x0B
+_T_WIDE_INT = 0x0C
 
 #: First byte of every transport/gossip frame.
 WIRE_MAGIC = 0xB1
@@ -175,10 +184,9 @@ _DYNAMIC_BASE = len(STATIC_SYMBOLS)
 #: One-byte symbol ids below this name a static symbol, so a reader can
 #: resolve them without a varint loop or a table lookup.
 _STATIC_ONE_BYTE = min(_DYNAMIC_BASE, 0x80)
-#: Zigzag-encoded ints must stay below this bound: the decoder stops a
-#: varint at 10 bytes (70 bits), so the representable ints are
-#: ``-2**69 .. 2**69 - 1``.  The encoder raises :class:`TypeError` for
-#: anything wider, like for any other value it cannot represent.
+#: Zigzag-encoded ints below this bound ride as a varint: the decoder
+#: stops a varint at 10 bytes (70 bits), so tag ``INT`` carries
+#: ``-2**69 .. 2**69 - 1``.  Wider ints ride as tag ``WIDE_INT``.
 _ZIGZAG_LIMIT = 1 << 70
 
 _FLOAT = struct.Struct(">d")
@@ -267,21 +275,25 @@ _STATIC_REFS: Dict[str, bytes] = {
 
 def _write_int(buf: bytearray, value: int) -> None:
     zigzag = value << 1 if value >= 0 else ~(value << 1)
-    buf.append(_T_INT)
     if zigzag < 0x80:
+        buf.append(_T_INT)
         buf.append(zigzag)
     elif zigzag < _ZIGZAG_LIMIT:
+        buf.append(_T_INT)
         _write_varint(buf, zigzag)
     else:
-        raise TypeError(
-            f"int of {value.bit_length()} bits is outside the codec's range "
-            "-2**69 .. 2**69 - 1"
-        )
+        # Big-endian two's complement in the fewest bytes that hold the
+        # sign bit: the zigzag form has exactly that many significant bits.
+        raw = value.to_bytes((zigzag.bit_length() + 7) // 8, "big", signed=True)
+        buf.append(_T_WIDE_INT)
+        _write_varint(buf, len(raw))
+        buf += raw
 
 
 def _map_key(key: Any) -> str:
     """Coerce a dict key the way ``json.dumps`` does (parity matters: the
-    journal's replayed state must match what the JSON encoding produced)."""
+    journal's replayed state must match what the JSON encoding produced),
+    non-finite floats included."""
     if isinstance(key, str):
         return str.__str__(key)
     if key is True:
@@ -293,6 +305,12 @@ def _map_key(key: Any) -> str:
     if isinstance(key, int):
         return str(key)
     if isinstance(key, float):
+        if key != key:
+            return "NaN"
+        if key == math.inf:
+            return "Infinity"
+        if key == -math.inf:
+            return "-Infinity"
         return repr(key)
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(key)}")
 
@@ -363,7 +381,7 @@ class WireEncoder:
     def _write_new_str(self, buf: bytearray, text: str) -> None:
         """A string with no symbol yet: define one inline, or ship the
         text verbatim when it is too long or the table is full."""
-        raw = text.encode("utf-8")
+        raw = text.encode("utf-8", "surrogatepass")
         symbols = self._symbols
         if len(text) <= INTERN_MAX_LEN and len(symbols) < DYNAMIC_LIMIT:
             ref = symbols[text] = _sym_ref(_DYNAMIC_BASE + len(symbols))
@@ -462,10 +480,12 @@ class WireEncoder:
         """Encode an envelope's ``(key, value)`` pairs; returns bytes
         carried out of band.
 
-        The ``payload`` field is inline-encoded only when it is structured
-        data (dict/list); any other object is a native-payload stand-in
-        whose declared ``size`` is authoritative, so it rides out of band
-        as an ``OBJ`` placeholder charged at that size.
+        ``payload`` and ``headers``, the fields a caller fills, ride out
+        of band as an ``OBJ`` placeholder when they do not encode inline:
+        ``payload`` charged the envelope's declared ``size``, which is
+        authoritative for the native data it models, and ``headers``
+        nothing.  A ``payload`` that is not structured data (dict/list)
+        is a native-payload stand-in and always rides out of band.
         """
         oob = 0
         symbols = self._symbols
@@ -475,15 +495,26 @@ class WireEncoder:
                 self._write_value(buf, _map_key(key))
             else:
                 buf += ref
-            if key == "payload" and not isinstance(item, (dict, list, tuple)):
-                declared = envelope.get("size")
-                declared = declared if isinstance(declared, int) and declared >= 0 else 0
-                buf.append(_T_OBJ)
-                _write_varint(buf, declared)
-                objs.append(item)
-                oob += declared
-            else:
+            if key != "payload" and key != "headers":
                 self._write_value(buf, item)
+                continue
+            if key == "headers" or isinstance(item, (dict, list, tuple)):
+                start = len(buf)
+                mark = len(symbols)
+                try:
+                    self._write_value(buf, item)
+                    continue
+                except TypeError:
+                    # The failed attempt's bytes and symbol definitions
+                    # must never reach the decoder.
+                    del buf[start:]
+                    self.rollback(mark)
+            declared = 0 if key == "headers" else envelope.get("size")
+            declared = declared if isinstance(declared, int) and declared >= 0 else 0
+            buf.append(_T_OBJ)
+            _write_varint(buf, declared)
+            objs.append(item)
+            oob += declared
         return oob
 
     def _write_envelope(
@@ -500,10 +531,11 @@ class WireEncoder:
         """Encode ``envelope`` as a field delta against ``prev``.
 
         Wire form: varint changed-count, then (key, value) pairs, then
-        varint removed-count, then removed keys.  The ``payload`` field
-        gets the same out-of-band treatment as in :meth:`_write_envelope`
-        and is never delta-suppressed -- payload identity across envelopes
-        is not a wire-protocol assumption we want to make.
+        varint removed-count, then removed keys.  Fields get the same
+        out-of-band treatment as in :meth:`_write_envelope`, and the
+        ``payload`` field is never delta-suppressed -- payload identity
+        across envelopes is not a wire-protocol assumption we want to
+        make.
         """
         missing = object()
         changed = [
@@ -547,15 +579,16 @@ class WireEncoder:
     def encode_envelope(self, envelope: dict) -> BinaryFrame:
         """One single-envelope wire frame.
 
-        Raises :class:`TypeError` when a non-payload field is not
-        representable (the caller falls back to the JSON wire path); the
-        dynamic table is rolled back so a failed attempt does not desync
-        the peer's decoder.
+        A ``payload`` or ``headers`` the codec cannot encode rides out of
+        band.  Any other field it cannot encode raises
+        :class:`TypeError`, with the dynamic table rolled back so a
+        failed attempt does not desync the peer's decoder.
         """
         return self._encode_frame(FRAME_ENVELOPE, [envelope])
 
     def encode_batch(self, envelopes: List[dict]) -> BinaryFrame:
-        """One coalesced batch frame carrying ``envelopes`` in order."""
+        """One coalesced batch frame carrying ``envelopes`` in order,
+        encoded like :meth:`encode_envelope` encodes one."""
         return self._encode_frame(FRAME_BATCH, envelopes)
 
     def encode_batch_delta(self, envelopes: List[dict]) -> BinaryFrame:
@@ -564,9 +597,9 @@ class WireEncoder:
         The first envelope rides in full; every subsequent one carries
         only the fields that differ from its predecessor (typically just
         ``seq``, ``payload`` and ``size`` -- stream/origin/dst/path
-        metadata repeats across a batch).  Raises :class:`TypeError` with
-        the dynamic table rolled back when any field is not
-        representable, exactly like :meth:`encode_batch`.
+        metadata repeats across a batch).  Fields ride out of band as in
+        :meth:`encode_batch`, and a one-envelope delta frame has the
+        :meth:`encode_batch` frame's body byte for byte.
         """
         return self._encode_frame(FRAME_BATCH_DELTA, envelopes)
 
@@ -615,7 +648,7 @@ def _read_text(
     read just before ``pos``."""
     if tag == _T_STR:
         raw, pos = _take(data, pos)
-        return raw.decode("utf-8"), pos
+        return raw.decode("utf-8", "surrogatepass"), pos
     if tag != _T_SYM and tag != _T_SYMDEF:
         raise CodecError(f"expected a string, got tag {tag:#x}")
     sym, pos = _read_varint_at(data, pos)
@@ -624,7 +657,7 @@ def _read_text(
     if sym < _DYNAMIC_BASE:
         raise CodecError(f"symbol definition in static range: {sym}")
     raw, pos = _take(data, pos)
-    text = symbols[sym] = raw.decode("utf-8")
+    text = symbols[sym] = raw.decode("utf-8", "surrogatepass")
     return text, pos
 
 
@@ -701,6 +734,9 @@ def _read_value(
         return _FLOAT.unpack_from(data, pos)[0], pos + 8
     if tag == _T_BYTES:
         return _take(data, pos)
+    if tag == _T_WIDE_INT:
+        raw, pos = _take(data, pos)
+        return int.from_bytes(raw, "big", signed=True), pos
     if tag == _T_OBJ:
         # The declared out-of-band size (already modeled) is skipped.
         _size, pos = _read_varint_at(data, pos)
@@ -857,8 +893,8 @@ def encode_gossip(payload: dict, compress: bool = False) -> BinaryFrame:
 
     Datagrams carry their whole symbol table inline (fresh per frame);
     the win is vectorization across the repeated per-profile field names
-    within one announcement.  Raises :class:`TypeError` for bodies the
-    codec cannot represent (the caller falls back to the JSON dict).
+    within one announcement.  Raises :class:`TypeError`, like
+    ``json.dumps``, for a body holding an object that is not data.
 
     With ``compress=True`` the encoded body is zlib-deflated into a
     ``FRAME_GOSSIP_Z`` frame (varint raw length + deflate stream) -- the

@@ -198,7 +198,6 @@ class Directory:
         self.full_requests_sent = 0
         self.full_requests_received = 0
         self.codec_frames_sent = 0
-        self.codec_fallbacks = 0
         self.started = False
 
     # -- lifecycle ------------------------------------------------------------
@@ -823,19 +822,9 @@ class Directory:
             # (full-state pull reply / newcomer push): that body ships
             # zlib-compressed; multicast announcements keep the plain
             # frame.
-            try:
-                frame = encode_gossip(payload, compress=bool(compress_for))
-            except TypeError:
-                self.codec_fallbacks += 1
-                self.runtime.trace(
-                    "codec.fallback",
-                    "announcement body not binary-encodable; sending JSON",
-                )
-                size = self._estimate_size(profiles, removed, changed)
-            else:
-                payload = frame
-                size = frame.wire_size
-                self.codec_frames_sent += 1
+            payload = encode_gossip(payload, compress=bool(compress_for))
+            size = payload.wire_size
+            self.codec_frames_sent += 1
         else:
             size = self._estimate_size(profiles, removed, changed)
         self._send_to(payload, size, to)

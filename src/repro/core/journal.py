@@ -24,8 +24,7 @@ One record per line::
   it) and restarts the blob's symbol table, every other record is
   blob-scoped (``0xB4``) -- encoded against the table the blob's earlier
   records built, so a string costs its bytes once per blob and a 2-3
-  byte reference after that -- and a record the codec cannot represent
-  keeps a JSON body.
+  byte reference after that.
 - ``lsn`` is a per-journal monotonic sequence number; a gap or regression
   during replay stops the scan (a torn or reordered tail is never applied).
 - The CRC-32 covers the body; a mismatch (bit flip) also stops the
@@ -162,19 +161,15 @@ def encode_record(
     (magic ``0xB4``): it references the strings the blob's earlier
     records defined.  ``compress=True`` (binary, no table) additionally
     zlib-deflates the body (magic ``0xB3``) when that shrinks it -- used
-    for checkpoint records, which serialize the whole mirror.  A record
-    the codec cannot represent (an int beyond its varint range) keeps the
-    canonical-JSON body instead, and leaves ``table`` as it was; only
-    data JSON cannot carry either raises :class:`TypeError`.
+    for checkpoint records, which serialize the whole mirror.  The
+    body's encoding raises :class:`TypeError` for a value it cannot
+    represent -- the codec refuses only what JSON refuses too -- and a
+    failed binary encode leaves ``table`` as it was.
     """
     record = {"data": data, "kind": kind, "lsn": lsn}
-    body = None
     if binary:
-        try:
-            body = encode_journal_body(record, compress=compress, table=table)
-        except TypeError:
-            pass
-    if body is None:
+        body = encode_journal_body(record, compress=compress, table=table)
+    else:
         body = canonical_json(record)
     return b"%08x " % (zlib.crc32(body) & 0xFFFFFFFF) + body + b"\n"
 

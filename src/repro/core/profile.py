@@ -221,17 +221,12 @@ class TranslatorProfile:
         The codec-honest counterpart of :meth:`estimated_size`: callers
         that charge simulated bandwidth while the data plane is on use
         the actual self-contained binary encoding length, not the JSON
-        heuristic.  A profile the codec cannot represent (an attribute int
-        beyond the varint range) travels as JSON, so it is charged
-        :meth:`estimated_size` instead.
+        heuristic.
         """
         cached = self.__dict__.get("_bin_size")
         if cached is not None:
             return cached
-        try:
-            size = codec.encoded_size(self.to_dict())
-        except TypeError:
-            size = self.estimated_size()
+        size = codec.encoded_size(self.to_dict())
         object.__setattr__(self, "_bin_size", size)
         return size
 

@@ -2076,17 +2076,11 @@ class ShardRouter:
             if info is None:
                 return
             if size >= Z_MIN_BYTES and self.runtime.data_plane_enabled:
-                try:
-                    frame = encode_gossip(payload, compress=True)
-                except TypeError:
-                    frame = None
-                if frame is not None:
-                    self.z_frames_sent += 1
-                    self.z_bytes_saved += max(0, size - frame.wire_size)
-                    socket.sendto(
-                        frame, frame.wire_size, info.address, info.directory_port
-                    )
-                    return
+                frame = encode_gossip(payload, compress=True)
+                self.z_frames_sent += 1
+                self.z_bytes_saved += max(0, size - frame.wire_size)
+                socket.sendto(frame, frame.wire_size, info.address, info.directory_port)
+                return
             socket.sendto(payload, size, info.address, info.directory_port)
             return
         router = shard_fabric(self.runtime.network).get(runtime_id)

@@ -322,9 +322,6 @@ class Transport:
     #: ... and batches in flight before the sender blocks on the stream's
     #: drain barrier; acks are journaled in order afterwards.
     PIPELINE_WINDOW = 4
-    #: Per-envelope framing bytes inside a JSON batch frame (length prefix
-    #: + offsets), charged on top of the shared ENVELOPE_HEADER_BYTES.
-    BATCH_SUBHEADER_BYTES = 8
     #: Load-adaptive ceilings: batch caps and the pipeline window double
     #: under sustained backlog up to these, and decay back to the base
     #: constants when the peer goes idle.
@@ -354,9 +351,7 @@ class Transport:
         #: Per-peer sender caps (adaptive on the data plane only).
         self._adaptive: Dict[str, _AdaptiveBatch] = {}
         self.codec_frames_sent = 0
-        self.codec_fallbacks = 0
         self.batch_adaptations = 0
-        self.delta_batches_sent = 0
         #: src ref -> immutable snapshot of bound paths, rebuilt on
         #: register/forget so per-message fan-out iterates allocation-free.
         self._paths_by_src: Dict[str, Tuple[MessagePath, ...]] = {}
@@ -757,7 +752,8 @@ class Transport:
             if self.runtime.tracing:
                 self.runtime.trace(
                     "transport.spool-drop",
-                    f"to {runtime_id}: spool full, evicted oldest envelope",
+                    f"to {runtime_id}: spool full, lost the oldest envelope "
+                    "no frame in flight carries",
                     capacity=self.SPOOL_CAPACITY,
                 )
         outbox.append((runtime_id, envelope, size))
@@ -888,32 +884,6 @@ class Transport:
             backoff=backoff,
         )
         return attempts, backoff
-
-    # -- binary codec (per-peer symbol tables) --------------------------------
-
-    def _encode_batch(self, runtime_id: str, envelopes: List[dict]):
-        """Binary frame for a whole batch, or None for the JSON batch dict
-        when the codec cannot represent it (counted in ``codec_fallbacks``)."""
-        encoder = self._encoders.get(runtime_id)
-        if encoder is None:
-            encoder = self._encoders[runtime_id] = WireEncoder()
-        try:
-            if len(envelopes) >= 2:
-                # Delta-encode the repeated per-envelope metadata against
-                # the previous header.
-                frame = encoder.encode_batch_delta(envelopes)
-                self.delta_batches_sent += 1
-                return frame
-            return encoder.encode_batch(envelopes)
-        except TypeError as exc:
-            self.codec_fallbacks += 1
-            if self.runtime.tracing:
-                self.runtime.trace(
-                    "codec.fallback",
-                    f"to {runtime_id}: batch not binary-representable "
-                    f"({exc}); sent as JSON",
-                )
-            return None
 
     def _adaptive_state(self, runtime_id: str) -> _AdaptiveBatch:
         state = self._adaptive.get(runtime_id)
@@ -1105,10 +1075,11 @@ class Transport:
         (a single envelope larger than the byte cap still ships, alone),
         and one fixed marshal cost covers it all (that is the
         amortization); the per-byte cost still scales with the payload.
-        The batch ships as one interned binary frame whose *actual*
-        encoded bytes drive both the marshal cost and the wire
-        accounting; only a batch the codec cannot represent falls back to
-        the JSON batch dict."""
+        The batch ships as one interned binary delta frame whose *actual*
+        encoded bytes, out-of-band payloads included, drive both the
+        marshal cost and the wire accounting.  A one-envelope delta frame
+        has the plain batch frame's body byte for byte, so the data plane
+        has one frame form."""
         kernel = self.runtime.kernel
         umiddle = self.runtime.calibration.umiddle
         if not self.data_plane:
@@ -1128,24 +1099,15 @@ class Transport:
                 break
             envelopes.append(envelope)
             total += size
-        binary = self._encode_batch(runtime_id, envelopes)
-        if binary is not None:
-            frame: object = binary
-            wire_size = binary.wire_size
-            cost_bytes = binary.wire_size
-            self.codec_frames_sent += 1
-        else:
-            frame = {"kind": "batch", "count": len(envelopes), "envelopes": envelopes}
-            wire_size = (
-                total
-                + ENVELOPE_HEADER_BYTES
-                + self.BATCH_SUBHEADER_BYTES * len(envelopes)
-            )
-            cost_bytes = total
+        encoder = self._encoders.get(runtime_id)
+        if encoder is None:
+            encoder = self._encoders[runtime_id] = WireEncoder()
+        frame = encoder.encode_batch_delta(envelopes)
+        self.codec_frames_sent += 1
         yield kernel.timeout(
-            umiddle.envelope_fixed_s + umiddle.envelope_per_byte_s * cost_bytes
+            umiddle.envelope_fixed_s + umiddle.envelope_per_byte_s * frame.wire_size
         )
-        yield from stream.send_inline(frame, wire_size)
+        yield from stream.send_inline(frame, frame.wire_size)
         self.batches_sent += 1
         return len(envelopes)
 
@@ -1265,20 +1227,13 @@ class Transport:
                     continue
             kind = envelope.get("kind")
             if kind == "batch":
-                # One unmarshal cost for the whole coalesced frame, then
-                # each inner envelope is deduped and dispatched normally.
-                # Binary frames charge their actual received bytes; JSON
-                # frames keep the declared-payload accounting.
-                inner_envelopes = envelope.get("envelopes", ())
-                total = (
-                    _wire_size
-                    if binary
-                    else sum(e.get("size", 0) for e in inner_envelopes)
-                )
+                # One unmarshal cost for the whole coalesced frame, charged
+                # at its actual received bytes, then each inner envelope
+                # is deduped and dispatched normally.
                 yield kernel.timeout(
-                    umiddle.envelope_fixed_s + umiddle.envelope_per_byte_s * total
+                    umiddle.envelope_fixed_s + umiddle.envelope_per_byte_s * _wire_size
                 )
-                for inner in inner_envelopes:
+                for inner in envelope.get("envelopes", ()):
                     if not self._is_duplicate(inner):
                         self._dispatch_envelope(inner.get("kind"), inner)
                 continue

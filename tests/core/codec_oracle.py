@@ -1,9 +1,13 @@
 # Test-only oracle for tests/core/test_codec_parity.py: the binary codec
-# exactly as it stood before the fast rewrite of repro.core.codec (one
-# method call per byte, per-byte journal unescape).  Its code is kept
-# unchanged (one comment in the symbol table is reworded) so the parity
-# tests can prove the rewrite emits the same bytes and rejects the same
-# inputs; do not optimise or fix it.
+# as it stood before the fast rewrite of repro.core.codec (one method call
+# per byte, per-byte journal unescape).  Its code is kept as it was (one
+# comment in the symbol table is reworded), except that it learned, in its
+# own simple way, the value rules the codec gained later: ints beyond the
+# varint range (tag WIDE_INT), strings holding lone surrogates, JSON's
+# spelling of non-finite float map keys, and a ``payload`` or ``headers``
+# that does not encode riding out of band.  The parity tests use it to
+# prove the rewrite emits the same bytes and rejects the same inputs; do
+# not optimise it.
 
 """Binary wire codec with per-peer symbol interning (ROADMAP item 3).
 
@@ -42,9 +46,8 @@ models the native data's bytes.  The codec therefore inline-encodes only
 *structured* payloads (dicts/lists -- data whose wire form is the
 structure itself) and carries every other payload out of band at its
 declared size (an ``OBJ`` placeholder in the byte stream, the object
-riding alongside in :attr:`BinaryFrame.objs`).  Anything the codec cannot
-represent falls back to the canonical-JSON wire path per frame, counted by
-the transport's ``codec.fallback`` trace.
+riding alongside in :attr:`BinaryFrame.objs`).  A structured payload,
+or ``headers``, that the codec cannot encode rides out of band too.
 """
 
 from __future__ import annotations
@@ -84,6 +87,7 @@ _T_MAP = 0x08
 _T_SYM = 0x09
 _T_SYMDEF = 0x0A
 _T_OBJ = 0x0B
+_T_WIDE_INT = 0x0C
 
 #: First byte of every transport/gossip frame.
 WIRE_MAGIC = 0xB1
@@ -222,6 +226,12 @@ def _map_key(key: Any) -> str:
     if isinstance(key, int):
         return str(key)
     if isinstance(key, float):
+        if key != key:
+            return "NaN"
+        if key == float("inf"):
+            return "Infinity"
+        if key == float("-inf"):
+            return "-Infinity"
         return repr(key)
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(key)}")
 
@@ -250,13 +260,13 @@ class WireEncoder:
                 if len(text) <= INTERN_MAX_LEN and len(self._symbols) < DYNAMIC_LIMIT:
                     sym = _DYNAMIC_BASE + len(self._symbols)
                     self._symbols[text] = sym
-                    raw = text.encode("utf-8")
+                    raw = text.encode("utf-8", "surrogatepass")
                     buf.append(_T_SYMDEF)
                     _write_varint(buf, sym)
                     _write_varint(buf, len(raw))
                     buf += raw
                 else:
-                    raw = text.encode("utf-8")
+                    raw = text.encode("utf-8", "surrogatepass")
                     buf.append(_T_STR)
                     _write_varint(buf, len(raw))
                     buf += raw
@@ -274,8 +284,17 @@ class WireEncoder:
         elif isinstance(value, str):
             self._write_str(buf, value)
         elif isinstance(value, int):
-            buf.append(_T_INT)
-            _write_varint(buf, value << 1 if value >= 0 else ((-value) << 1) - 1)
+            zigzag = value << 1 if value >= 0 else ((-value) << 1) - 1
+            if zigzag < 1 << 70:
+                buf.append(_T_INT)
+                _write_varint(buf, zigzag)
+            else:
+                length = 1
+                while not -(1 << (8 * length - 1)) <= value < 1 << (8 * length - 1):
+                    length += 1
+                buf.append(_T_WIDE_INT)
+                _write_varint(buf, length)
+                buf += value.to_bytes(length, "big", signed=True)
         elif isinstance(value, float):
             buf.append(_T_FLOAT)
             buf += _FLOAT.pack(value)
@@ -301,30 +320,50 @@ class WireEncoder:
 
     # -- envelope / batch frames --------------------------------------------
 
-    def _write_envelope(
-        self, buf: bytearray, envelope: dict, objs: List[Any]
+    def _write_field(
+        self, buf: bytearray, key: Any, item: Any, envelope: dict, objs: List[Any]
     ) -> int:
-        """Encode one envelope map; returns bytes carried out of band.
+        """Encode one envelope field's value; returns bytes carried out of
+        band.
 
         The ``payload`` field is inline-encoded only when it is structured
         data (dict/list); any other object is a native-payload stand-in
         whose declared ``size`` is authoritative, so it rides out of band
-        as an ``OBJ`` placeholder charged at that size.
+        as an ``OBJ`` placeholder charged at that size.  A structured
+        ``payload`` or a ``headers`` value that does not encode rides out
+        of band too (``headers`` charged nothing), leaving no byte and no
+        symbol of the failed attempt behind.
         """
+        if key in ("payload", "headers"):
+            if key == "headers" or isinstance(item, (dict, list, tuple)):
+                snapshot = dict(self._symbols)
+                length = len(buf)
+                try:
+                    self._write_value(buf, item)
+                    return 0
+                except TypeError:
+                    self._symbols = snapshot
+                    del buf[length:]
+            declared = envelope.get("size") if key == "payload" else 0
+            declared = declared if isinstance(declared, int) and declared >= 0 else 0
+            buf.append(_T_OBJ)
+            _write_varint(buf, declared)
+            objs.append(item)
+            return declared
+        self._write_value(buf, item)
+        return 0
+
+    def _write_envelope(
+        self, buf: bytearray, envelope: dict, objs: List[Any]
+    ) -> int:
+        """Encode one envelope map; returns bytes carried out of band
+        (see :meth:`_write_field`)."""
         oob = 0
         buf.append(_T_MAP)
         _write_varint(buf, len(envelope))
         for key, item in envelope.items():
             self._write_str(buf, _map_key(key))
-            if key == "payload" and not isinstance(item, (dict, list, tuple)):
-                declared = envelope.get("size")
-                declared = declared if isinstance(declared, int) and declared >= 0 else 0
-                buf.append(_T_OBJ)
-                _write_varint(buf, declared)
-                objs.append(item)
-                oob += declared
-            else:
-                self._write_value(buf, item)
+            oob += self._write_field(buf, key, item, envelope, objs)
         return oob
 
     def _seal(self, buf: bytearray, objs: List[Any], oob: int) -> BinaryFrame:
@@ -334,10 +373,9 @@ class WireEncoder:
     def encode_envelope(self, envelope: dict) -> BinaryFrame:
         """One single-envelope wire frame.
 
-        Raises :class:`TypeError` when a non-payload field is not
-        representable (the caller falls back to the JSON wire path); the
-        dynamic table is rolled back so a failed attempt does not desync
-        the peer's decoder.
+        Raises :class:`TypeError` when a field other than ``payload`` and
+        ``headers`` is not representable; the dynamic table is rolled back
+        so a failed attempt does not desync the peer's decoder.
         """
         snapshot = dict(self._symbols)
         buf = bytearray((WIRE_MAGIC, FRAME_ENVELOPE))
@@ -370,9 +408,9 @@ class WireEncoder:
         """Encode ``envelope`` as a field delta against ``prev``.
 
         Wire form: varint changed-count, then (key, value) pairs, then
-        varint removed-count, then removed keys.  The ``payload`` field
-        gets the same out-of-band treatment as in :meth:`_write_envelope`
-        and is never delta-suppressed -- payload identity across envelopes
+        varint removed-count, then removed keys.  Fields get the same
+        out-of-band treatment as in :meth:`_write_envelope`, and the
+        ``payload`` field is never delta-suppressed -- payload identity across envelopes
         is not a wire-protocol assumption we want to make.
         """
         oob = 0
@@ -386,15 +424,7 @@ class WireEncoder:
         _write_varint(buf, len(changed))
         for key, item in changed:
             self._write_str(buf, _map_key(key))
-            if key == "payload" and not isinstance(item, (dict, list, tuple)):
-                declared = envelope.get("size")
-                declared = declared if isinstance(declared, int) and declared >= 0 else 0
-                buf.append(_T_OBJ)
-                _write_varint(buf, declared)
-                objs.append(item)
-                oob += declared
-            else:
-                self._write_value(buf, item)
+            oob += self._write_field(buf, key, item, envelope, objs)
         _write_varint(buf, len(removed))
         for key in removed:
             self._write_str(buf, _map_key(key))
@@ -496,14 +526,14 @@ class WireDecoder:
             if sym < _DYNAMIC_BASE:
                 raise CodecError(f"symbol definition in static range: {sym}")
             try:
-                text = reader.take(reader.varint()).decode("utf-8")
+                text = reader.take(reader.varint()).decode("utf-8", "surrogatepass")
             except UnicodeDecodeError as exc:
                 raise CodecError(f"malformed symbol definition: {exc}") from exc
             self._symbols[sym] = text
             return text
         if tag == _T_STR:
             try:
-                return reader.take(reader.varint()).decode("utf-8")
+                return reader.take(reader.varint()).decode("utf-8", "surrogatepass")
             except UnicodeDecodeError as exc:
                 raise CodecError(f"malformed string: {exc}") from exc
         raise CodecError(f"expected a string, got tag {tag:#x}")
@@ -525,6 +555,8 @@ class WireDecoder:
             return self._read_symbol(reader, tag)
         if tag == _T_BYTES:
             return reader.take(reader.varint())
+        if tag == _T_WIDE_INT:
+            return int.from_bytes(reader.take(reader.varint()), "big", signed=True)
         if tag == _T_LIST:
             return [self._read_value(reader, objs) for _ in range(reader.varint())]
         if tag == _T_MAP:
@@ -614,7 +646,7 @@ def encode_gossip(payload: dict, compress: bool = False) -> BinaryFrame:
     Datagrams carry their whole symbol table inline (fresh per frame);
     the win is vectorization across the repeated per-profile field names
     within one announcement.  Raises :class:`TypeError` for bodies the
-    codec cannot represent (the caller falls back to the JSON dict).
+    codec cannot represent.
 
     With ``compress=True`` the encoded body is zlib-deflated into a
     ``FRAME_GOSSIP_Z`` frame (varint raw length + deflate stream) -- the

@@ -38,6 +38,7 @@ from repro.core.journal import encode_record, replay_blob
 from repro.core.messages import UMessage
 from repro.core.profile import _canonical_digest
 from repro.core.qos import QosPolicy
+from repro.core.query import Query
 from repro.core.translator import Translator
 from repro.testbed import build_testbed
 
@@ -153,6 +154,19 @@ class TestRoundTrip:
         frame = encoder.encode_envelope({"kind": "message", "payload": [value]})
         assert decoder.decode_frame(frame)["payload"] == [canonical(value)]
 
+    def test_non_finite_float_keys_replay_as_json_spells_them(self):
+        # json.dumps writes Infinity, -Infinity and NaN: a binary journal
+        # must replay the keys a JSON journal replays.
+        data = {"keys": {float("inf"): 1, float("-inf"): 2, float("nan"): 3, 0.5: 4}}
+        (from_json,), _clean, _junk = replay_blob(encode_record(1, "register", data))
+        (from_binary,), _clean, _junk = replay_blob(
+            encode_record(1, "register", data, binary=True)
+        )
+        assert from_json["data"] == {"keys": {"Infinity": 1, "-Infinity": 2, "NaN": 3, "0.5": 4}}
+        assert from_binary == from_json
+        frame = WireEncoder().encode_envelope({"kind": "message", "payload": [data]})
+        assert WireDecoder().decode_frame(frame)["payload"] == [canonical(data)]
+
     def test_opaque_payload_rides_out_of_band_at_declared_size(self):
         # Non-structured payloads are stand-ins for bytes the simulation
         # never materializes: the frame carries the object out of band and
@@ -188,35 +202,55 @@ class TestRoundTrip:
         ids=["env", "batch", "delta"],
     )
     def test_unencodable_value_raises_typeerror_and_rolls_back(self, method):
+        """A ``payload`` or ``headers`` the codec cannot encode rides out
+        of band; an unencodable value in any other field raises.  Either
+        way the symbols the failed attempt defined are rolled back, so
+        the next frame still decodes."""
         encoder, decoder = WireEncoder(), WireDecoder()
+        single = method == "encode_envelope"
 
         def encode(envelopes):
-            frame_of = getattr(encoder, method)
-            return frame_of(envelopes[-1] if method == "encode_envelope" else envelopes)
+            return getattr(encoder, method)(envelopes[-1] if single else envelopes)
+
+        def decoded(frame):
+            result = decoder.decode_frame(frame)
+            return [result] if single else result["envelopes"]
 
         warm = [{"kind": "message", "payload": [{"warm": 1}], "seq": 1}]
         assert decoder.decode_frame(encode(warm))
-        before = len(encoder._symbols)
-        # The failed frame defines fresh symbols before it hits the bad
-        # value: in an earlier envelope of the batch and in its own fields.
+        # The bad payload and headers define fresh symbols before they hit
+        # the object.
+        token = object()
         bad = [
             {"kind": "message", "payload": [{"fresh": "new-a"}], "seq": 2},
-            {"kind": "message", "payload": [{"fresh-b": "new-c", "x": object()}]},
+            {
+                "kind": "message",
+                "payload": [{"fresh-b": "new-c", "x": object()}],
+                "size": 64,
+                "headers": {"fresh-d": token},
+                "seq": 3,
+            },
         ]
+        frame = encode(bad)
+        assert len(frame.objs) == 2
+        assert frame.objs[0] is bad[-1]["payload"]
+        assert frame.objs[1] is bad[-1]["headers"]
+        assert frame.oob_bytes == 64  # the declared size; headers ride free
+        assert not {"fresh-b", "new-c", "fresh-d"} & set(encoder._symbols)
+        assert decoded(frame) == (bad[-1:] if single else bad)
+        # A field the runtime builds itself has no out-of-band form: the
+        # frame raises and the table is back where the frame started.
+        before = len(encoder._symbols)
         with pytest.raises(TypeError):
-            encode(bad)
+            encode([{"kind": "message", "payload": [{"fresh-e": "new-f"}], "dst": object()}])
         assert len(encoder._symbols) == before
-        # The failed encode must not have taught the encoder symbols the
-        # decoder never saw: the next good frame still decodes.
+        # Neither failed attempt taught the encoder symbols the decoder
+        # never saw: the next good frame still decodes.
         good = [
-            {"kind": "message", "payload": [{"fresh": "new-a"}], "seq": 2},
-            {"kind": "message", "payload": [{"fresh-b": "new-c", "x": 1}], "seq": 3},
+            {"kind": "message", "payload": [{"fresh-b": "new-c"}], "seq": 4},
+            {"kind": "message", "payload": [{"fresh-e": "new-f"}], "headers": {"fresh-d": 1}},
         ]
-        decoded = decoder.decode_frame(encode(good))
-        if method == "encode_envelope":
-            assert decoded == good[-1]
-        else:
-            assert decoded["envelopes"] == good
+        assert decoded(encode(good)) == (good[-1:] if single else good)
 
 
 # -- corruption: raise cleanly, never mis-decode ---------------------------
@@ -516,10 +550,10 @@ class TestSizeAccounting:
 
 
 class TestIntRange:
-    """The decoder stops a varint at 10 bytes, so the codec carries ints
-    in ``-2**69 .. 2**69 - 1``.  The encoder refuses anything wider with
-    :class:`TypeError` -- the trigger of every JSON fallback -- instead of
-    emitting a varint no decoder can read back."""
+    """The decoder stops a varint at 10 bytes, so tag INT carries ints in
+    ``-2**69 .. 2**69 - 1``.  A wider int rides as tag WIDE_INT (a varint
+    byte length, then big-endian two's complement), so the codec carries
+    every int JSON carries."""
 
     @pytest.mark.parametrize("value", [-(2**69), 2**69 - 1], ids=["-2**69", "2**69-1"])
     def test_boundary_ints_round_trip_on_every_surface(self, value):
@@ -534,40 +568,44 @@ class TestIntRange:
         assert decode_journal_body(encode_journal_body(record)) == record
 
     @pytest.mark.parametrize(
-        "value", [2**69, -(2**69) - 1, 10**400], ids=["2**69", "-2**69-1", "10**400"]
+        "value, size",
+        [(2**69, 11), (-(2**69) - 1, 11), (10**400, 170)],
+        ids=["2**69", "-2**69-1", "10**400"],
     )
-    def test_wider_ints_raise_typeerror_on_every_surface(self, value):
-        envelope = {"kind": "message", "payload": {"v": value}, "seq": 1}
-        encoder = WireEncoder()
-        for encode in (
-            encoder.encode_envelope,
-            lambda env: encoder.encode_batch([env]),
-            lambda env: encoder.encode_batch_delta([env, env]),
-            lambda env: encode_gossip({"kind": "umiddle-directory", "body": env}),
-            lambda env: encode_journal_body({"data": env, "kind": "register", "lsn": 1}),
-            encoded_size,
-        ):
-            with pytest.raises(TypeError):
-                encode(envelope)
+    def test_wider_ints_round_trip_on_every_surface(self, value, size):
+        # Tag, varint length, then the fewest two's-complement bytes that
+        # hold the sign bit: 9 for 70 significant bits, 167 for 1329.
+        assert encoded_size(value) == size
+        envelope = {"kind": "message", "payload": {"v": value}, "seq": value}
+        frame = WireEncoder().encode_envelope(envelope)
+        assert WireDecoder().decode_frame(frame) == envelope
+        for encode in (WireEncoder().encode_batch, WireEncoder().encode_batch_delta):
+            batch = WireDecoder().decode_frame(encode([envelope] * 2))
+            assert batch["envelopes"] == [envelope] * 2
+        body = {"kind": "umiddle-directory", "version": value}
+        assert decode_gossip(encode_gossip(body)) == body
+        record = {"data": {"v": [value]}, "kind": "register", "lsn": 1}
+        assert decode_journal_body(encode_journal_body(record)) == record
 
-    def test_journal_record_with_wide_int_keeps_a_json_body(self):
+    def test_journal_record_with_wide_int_gets_a_binary_body(self):
         data = {"id": "t1", "serial": 2**70}
         blob = encode_record(1, "register", {"id": "t0"}, binary=True)
         blob += encode_record(2, "register", data, binary=True)
         blob += encode_record(3, "checkpoint", {"registered": {"t1": data}},
                               binary=True, compress=True)
+        assert all(is_binary_journal_body(line[9:]) for line in blob.split(b"\n")[:-1])
         records, _clean, discarded = replay_blob(blob)
         assert discarded == 0
         assert [r["data"] for r in records[1:]] == [data, {"registered": {"t1": data}}]
 
-    def test_profile_with_wide_int_attribute_charges_estimated_size(self):
+    def test_profile_with_wide_int_attribute_charges_encoded_size(self):
         bed = build_testbed(hosts=["h0"])
         runtime = bed.add_runtime("h0", codec_enabled=True)
         translator = Translator("meter", role="sensor", attributes={"serial": 2**70})
         translator.add_digital_output("reading", "text/plain")
         runtime.register_translator(translator)
         profile = translator.profile
-        assert profile.encoded_size() == profile.estimated_size()
+        assert profile.encoded_size() == encoded_size(profile.to_dict())
 
     def test_wide_int_payload_is_delivered_and_journaled(self):
         # Regression: the codec used to encode 2**70 into a varint its own
@@ -584,7 +622,8 @@ class TestIntRange:
         bed.settle(30.0)
         _runtime, received = sinks[0]
         assert [m.payload for m in received] == payloads
-        assert producer.transport.codec_fallbacks > 0
+        transport = producer.transport
+        assert transport.codec_frames_sent == transport.batches_sent > 0
         records, _clean, discarded = replay_blob(producer.journal.blob)
         assert discarded == 0
         spooled = [
@@ -595,6 +634,62 @@ class TestIntRange:
             if envelope["kind"] == "message"
         ]
         assert spooled == payloads
+
+
+class TestEveryJsonValue:
+    """What the paper plane carries, the data plane carries: every value
+    canonical JSON carries rides the codec, and a ``payload`` or
+    ``headers`` it cannot encode rides out of band, with no second
+    encoding kept beside it."""
+
+    def test_special_payloads_stream_in_order_and_journal_binary(self):
+        bed, producer, out, sinks = build_fanout([True], codec_enabled=True)
+        args = ("set", object())  # an RMI-style argument tuple
+        token = object()
+        messages = [UMessage("text/plain", {"v": index}) for index in range(12)]
+        messages[2] = UMessage("text/plain", {"v": 2**70})
+        messages[5] = UMessage("text/plain", {"s": "\ud800"})
+        messages[7] = UMessage("text/plain", args, size=64)
+        messages[9] = UMessage("text/plain", {"v": 9}, headers={"token": token})
+        for message in messages:
+            out.send(message)
+        bed.settle(30.0)
+        _runtime, received = sinks[0]
+        assert [m.payload for m in received] == [m.payload for m in messages]
+        assert received[7].payload is args
+        assert received[9].headers["token"] is token
+        transport = producer.transport
+        assert transport.codec_frames_sent == transport.batches_sent > 0
+        blob = bytes(producer.journal.blob)
+        assert all(is_binary_journal_body(line[9:]) for line in blob.split(b"\n")[:-1])
+        records, _clean, discarded = replay_blob(blob)
+        assert discarded == 0
+        # A journal cannot hold an object: those two messages keep only
+        # opaque markers, and everything else replays equal.
+        journaled = [
+            envelope["payload"] if envelope["kind"] == "message" else "opaque"
+            for record in records
+            if record["kind"] == "spool-batch"
+            for envelope, _size in record["data"]["entries"]
+            if envelope["kind"] in ("message", "opaque")
+        ]
+        expected = [m.payload for m in messages]
+        expected[7] = expected[9] = "opaque"
+        assert journaled == expected
+
+    def test_profile_with_surrogate_and_wide_int_attributes_gossips_binary(self):
+        bed = build_testbed(hosts=["h0", "h1"])
+        runtime = bed.add_runtime("h0", codec_enabled=True)
+        peer = bed.add_runtime("h1", codec_enabled=True)
+        attributes = {"label": "\ud800", "serial": 2**70}
+        translator = Translator("meter", role="sensor", attributes=attributes)
+        translator.add_digital_output("reading", "text/plain")
+        runtime.register_translator(translator)
+        bed.settle(2.0)
+        profile = translator.profile
+        assert profile.encoded_size() == encoded_size(profile.to_dict())
+        assert runtime.directory.codec_frames_sent > 0
+        assert [p.attributes for p in peer.lookup(Query(role="sensor"))] == [attributes]
 
 
 # -- mixed-flag federation -------------------------------------------------
@@ -632,7 +727,7 @@ class TestMixedVersionFederation:
 
     def send_burst(self, out, count=60):
         # Back-to-back sends so the batched sender accumulates
-        # multi-envelope batches (the delta frame's precondition).
+        # multi-envelope batches, whose envelopes 2..n ride as deltas.
         for index in range(count):
             out.send(UMessage("text/plain", f"m{index}", 120))
 
@@ -644,10 +739,11 @@ class TestMixedVersionFederation:
         bed.settle(30.0)
         for _runtime, received in sinks:
             assert [m.payload for m in received] == [f"m{i}" for i in range(120)]
-        # The producer's flags alone chose delta frames, and both sinks
-        # decoded them whatever their own flags.
-        assert producer.transport.delta_batches_sent > 0
-        assert producer.transport.codec_fallbacks == 0
+        # The producer's flags alone chose delta frames, every frame it
+        # sent was one, and both sinks decoded them whatever their own
+        # flags.
+        transport = producer.transport
+        assert transport.codec_frames_sent == transport.batches_sent > 0
         # No handshake: no journal holds a codec-negotiation record or a
         # spooled negotiation envelope.
         for runtime in [producer] + [runtime for runtime, _received in sinks]:
@@ -704,7 +800,7 @@ class TestCompressionFederation:
 
     def burst(self, bed, out, count=120):
         # Back-to-back sends so the batched sender accumulates
-        # multi-envelope batches (the delta frame's precondition).
+        # multi-envelope batches, whose envelopes 2..n ride as deltas.
         for index in range(count):
             out.send(UMessage("text/plain", f"m{index}", 120))
         bed.settle(30.0)
@@ -735,5 +831,5 @@ class TestCompressionFederation:
         # Lossless: the peer received the identical message sequence, so
         # delta frames reconstructed every header byte-for-byte.
         assert [m.payload for m in received] == [f"m{i}" for i in range(120)]
-        assert producer.transport.delta_batches_sent > 0
-        assert producer.transport.codec_fallbacks == 0
+        transport = producer.transport
+        assert transport.codec_frames_sent == transport.batches_sent > 0

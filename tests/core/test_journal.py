@@ -894,7 +894,7 @@ class TestBinaryWalCrashBoundaries:
     """A data-plane journal's blob cut at every record boundary and inside
     its records.  Its blob-scoped records share one symbol table, so every
     cut must replay, and a journal opened over a cut must continue the
-    table, through folds, JSON fallbacks, failed encodes and lost
+    table, through folds, JSON bodies, failed encodes and lost
     group-commit windows alike."""
 
     PEERS = ("rt-p0", "rt-p1", "rt-p2")
@@ -938,8 +938,13 @@ class TestBinaryWalCrashBoundaries:
                 peer = rng.choice(self.PEERS)  # runs of one peer fold
             roll = rng.random()
             if step == 120:
-                # An int beyond the codec's range: a canonical-JSON body.
+                # An int beyond the varint range rides the codec too.  One
+                # record with the binary flag off keeps a canonical-JSON
+                # body in the blob, as a flag flipped across restarts does.
                 journal.append("register", self._profile(rng, f"t{step}", serial=2**70))
+                journal.binary = False
+                journal.append("register", {"profile": {"translator_id": "json-body"}})
+                journal.binary = True
                 journal.sync()
             elif step == 210:
                 seq += 1
