@@ -22,6 +22,9 @@ Measured per scale, wall clock:
   every lookup pays the owner round trip) versus the flat indexed lookup,
   with a fixed-selectivity query (~20 matches at every scale) so latency
   measures the mechanism, not the result size;
+- keyless lookup latency p50: a mixed-case ``name_contains`` query that
+  matches one profile fans out to every node, which scans its whole
+  store (reported, not gated);
 - slice apply: cold-ingesting one node's authoritative shard slice versus
   cold-applying the full federation state flat (the recovering-node /
   newcomer story).
@@ -62,6 +65,9 @@ MIMES = (
 #: Matches per device-type query, held constant across scales by scaling
 #: the number of device types with the population.
 MATCHES_PER_TYPE = 20
+
+#: Keyless lookups timed per scale: each scans every node's whole store.
+KEYLESS_SAMPLES = 9
 
 
 def make_profile(index: int, population: int, runtime_id: str) -> TranslatorProfile:
@@ -152,11 +158,22 @@ def bench_lookup_latency(reader, population: int, flat) -> dict:
             reader.lookup(query)
         samples.append((time.perf_counter() - start) / inner)
     flat_s = best_timing(lambda: flat.directory.lookup_local(probe), number=200)
+
+    keyless = []
+    for sample in range(KEYLESS_SAMPLES):
+        index = sample * population // KEYLESS_SAMPLES
+        query = Query(name_contains=f"SVC-{index:06d}")
+        start = time.perf_counter()
+        found = reader.lookup(query)
+        keyless.append(time.perf_counter() - start)
+        assert [p.translator_id for p in found] == [f"t-{index:06d}"]
     return {
         "queries_sampled": len(samples),
         "sharded_p50_us": round(percentile(samples, 0.50) * 1e6, 3),
         "sharded_p99_us": round(percentile(samples, 0.99) * 1e6, 3),
         "flat_indexed_us": round(flat_s * 1e6, 3),
+        "keyless_sampled": len(keyless),
+        "keyless_fanout_p50_us": round(percentile(keyless, 0.50) * 1e6, 3),
     }
 
 
@@ -282,7 +299,7 @@ def test_directory_shard_scale(compare):
         "Sharded vs flat directory (wall clock)",
         ["n", "nodes", "profiles/node", "flat/node", "mem ratio",
          "lookup p50 (us)", "lookup p99 (us)", "flat idx (us)",
-         "slice apply (ms)", "flat apply (ms)"],
+         "keyless p50 (us)", "slice apply (ms)", "flat apply (ms)"],
         [
             [
                 r["translators"],
@@ -293,6 +310,7 @@ def test_directory_shard_scale(compare):
                 r["lookup"]["sharded_p50_us"],
                 r["lookup"]["sharded_p99_us"],
                 r["lookup"]["flat_indexed_us"],
+                r["lookup"]["keyless_fanout_p50_us"],
                 r["apply"]["sharded_slice_apply_ms"],
                 r["apply"]["flat_full_apply_ms"],
             ]

@@ -293,7 +293,9 @@ def _write_int(buf: bytearray, value: int) -> None:
 def _map_key(key: Any) -> str:
     """Coerce a dict key the way ``json.dumps`` does (parity matters: the
     journal's replayed state must match what the JSON encoding produced),
-    non-finite floats included."""
+    non-finite floats included.  An int or float subclass (an ``IntEnum``
+    member, say) is spelled by its base type's ``__repr__``, as JSON spells
+    it, never by its own ``__str__`` or ``__repr__``."""
     if isinstance(key, str):
         return str.__str__(key)
     if key is True:
@@ -303,7 +305,7 @@ def _map_key(key: Any) -> str:
     if key is None:
         return "null"
     if isinstance(key, int):
-        return str(key)
+        return int.__repr__(key)
     if isinstance(key, float):
         if key != key:
             return "NaN"
@@ -311,7 +313,7 @@ def _map_key(key: Any) -> str:
             return "Infinity"
         if key == -math.inf:
             return "-Infinity"
-        return repr(key)
+        return float.__repr__(key)
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(key)}")
 
 

@@ -17,7 +17,7 @@ Discovery hot path (beyond the paper, for federation scale):
   value) keys -- platform, device type, role, and each port type expanded
   to all wildcard patterns it satisfies (see
   :meth:`TranslatorProfile.index_keys`).  :meth:`lookup` intersects the
-  buckets for the query's keys and runs :meth:`Query.matches` only on the
+  buckets for the query's keys and runs the query's predicate only on the
   candidate set, instead of scanning every entry.
 - **Standing-query subscriptions.**  :meth:`subscribe_query` registers a
   listener under one of its query's coarse keys, so added/removed events
@@ -229,10 +229,9 @@ class Directory:
         """Profiles of translators that match ``query`` (Figure 6-1).
 
         Sub-linear for any query with at least one coarse criterion: the
-        index buckets for the query's keys are intersected and
-        :meth:`Query.matches` runs only on the candidates.  Queries with no
-        indexable criterion (empty, or name/attributes only) fall back to
-        the linear scan.
+        index buckets for the query's keys are intersected and the query's
+        predicate runs only on the candidates.  Queries with no indexable
+        criterion (empty, or name/attributes only) test every entry.
 
         With sharding active the flat replica does not exist; the lookup
         is routed to the owning shard(s) by the
@@ -247,27 +246,29 @@ class Directory:
     def lookup_local(self, query: Query) -> List[TranslatorProfile]:
         """The indexed lookup over this directory's own entry table only
         (local translators plus whatever gossip/interest deltas fed it) --
-        the non-routed path, and the local overlay under sharding."""
+        the non-routed path, and the local overlay under sharding.  The
+        query's :attr:`~repro.core.query.Query.predicate` filters the
+        candidates: the index buckets' intersection, or every entry when
+        the query has no indexable criterion."""
         keys = query.index_keys()
         if not keys:
-            return self.lookup_linear(query)
-        buckets = []
-        for key in keys:
-            bucket = self._index.get(key)
-            if not bucket:
-                return []
-            buckets.append(bucket)
-        buckets.sort(key=len)
-        candidates = buckets[0]
-        for other in buckets[1:]:
-            candidates = candidates & other
-            if not candidates:
-                return []
-        matched = [
-            entry
-            for entry in (self._entries[tid] for tid in candidates)
-            if query.matches(entry.profile)
-        ]
+            entries = self._entries.values()
+        else:
+            buckets = []
+            for key in keys:
+                bucket = self._index.get(key)
+                if not bucket:
+                    return []
+                buckets.append(bucket)
+            buckets.sort(key=len)
+            candidates = buckets[0]
+            for other in buckets[1:]:
+                candidates = candidates & other
+                if not candidates:
+                    return []
+            entries = map(self._entries.__getitem__, candidates)
+        test = query.predicate
+        matched = [entry for entry in entries if test(entry.profile)]
         return self._order_matches(matched, query)
 
     def lookup_linear(self, query: Query) -> List[TranslatorProfile]:

@@ -77,6 +77,13 @@ class TranslatorProfile:
     attributes: Dict[str, Any] = field(default_factory=dict)
     health: str = "healthy"
 
+    def __post_init__(self):
+        # ``folded_name`` is ``name.lower()``, the form ``name_contains``
+        # queries test against, folded once per (interned) profile instead
+        # of on every test.  Not a field: equality and the wire form
+        # ignore it.
+        object.__setattr__(self, "folded_name", self.name.lower())
+
     def with_health(self, health: str) -> "TranslatorProfile":
         """A copy differing only in ``health`` (self when unchanged)."""
         if health == self.health:

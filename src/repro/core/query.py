@@ -18,7 +18,7 @@ translator, which is how Pads enumerates the semantic space.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.core.errors import BindingError
 from repro.core.profile import TranslatorProfile
@@ -26,10 +26,28 @@ from repro.core.shapes import DigitalType, Direction, PhysicalType, PortSpec, Sh
 
 __all__ = ["Query"]
 
+#: The exact filter of a query whose one criterion is ``platform``,
+#: ``device_type``, ``role`` or ``name_contains`` (in this order), built
+#: from that criterion's value (the lower-cased needle for
+#: ``name_contains``).  Each test closes over the value alone, never the
+#: query, so a query holds no reference cycle.
+_LONE_TESTS: Tuple[Callable[[Any], Callable[[TranslatorProfile], bool]], ...] = (
+    lambda value: lambda profile: profile.platform == value,
+    lambda value: lambda profile: profile.device_type == value,
+    lambda value: lambda profile: profile.role == value,
+    lambda needle: lambda profile: needle in profile.folded_name,
+)
+
 
 @dataclass(frozen=True)
 class Query:
-    """A conjunctive filter over translator profiles."""
+    """A conjunctive filter over translator profiles.
+
+    Construction also builds the query's exact filter, :attr:`predicate`:
+    lookups run it on every candidate, so a one-criterion query pays one
+    field test per profile rather than all ten of :meth:`matches`.
+    ``name_contains`` compares the lower-cased needle against each
+    profile's ``folded_name``, which the profile computes once."""
 
     platform: Optional[str] = None
     device_type: Optional[str] = None
@@ -61,11 +79,34 @@ class Query:
                 self, "physical_output", PhysicalType.parse(self.physical_output)
             )
         # Case-folded needle, computed once instead of on every matches().
-        object.__setattr__(
-            self,
-            "_needle",
-            None if self.name_contains is None else self.name_contains.lower(),
-        )
+        needle = None if self.name_contains is None else self.name_contains.lower()
+        object.__setattr__(self, "_needle", needle)
+        scalars = (self.platform, self.device_type, self.role, needle)
+        lone = None
+        if (
+            scalars.count(None) == 3
+            and self.input_mime is None
+            and self.output_mime is None
+            and self.physical_input is None
+            and self.physical_output is None
+            and self.template is None
+            and not self.attributes
+        ):
+            for make_test, value in zip(_LONE_TESTS, scalars):
+                if value is not None:
+                    lone = make_test(value)
+        object.__setattr__(self, "_lone", lone)
+
+    @property
+    def predicate(self) -> Callable[[TranslatorProfile], bool]:
+        """The exact filter every lookup path runs on its candidates.
+
+        A query with one criterion, and that one ``platform``,
+        ``device_type``, ``role`` or ``name_contains``, tests just that
+        field; any other query is :meth:`matches` itself, whose inline
+        early exits beat a chain of per-criterion calls.  Both answer
+        alike for every profile."""
+        return self._lone or self.matches
 
     def matches(self, profile: TranslatorProfile) -> bool:
         """True if ``profile`` satisfies every criterion of this query."""
@@ -75,7 +116,7 @@ class Query:
             return False
         if self.role is not None and profile.role != self.role:
             return False
-        if self._needle is not None and self._needle not in profile.name.lower():
+        if self._needle is not None and self._needle not in profile.folded_name:
             return False
         shape = profile.shape
         if self.input_mime is not None and not shape.inputs_accepting(self.input_mime):
@@ -107,7 +148,7 @@ class Query:
         Every profile matching this query carries *all* of these keys in
         its :meth:`TranslatorProfile.index_keys` set, so the directory can
         intersect the index buckets for these keys to get a candidate
-        superset before running :meth:`matches` as the exact filter.
+        superset before running :attr:`predicate` as the exact filter.
         ``name_contains`` and ``attributes`` are not coarsely indexable and
         contribute nothing; an empty result means "must scan".
         """

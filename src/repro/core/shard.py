@@ -190,20 +190,25 @@ def _weight(seed: int, shard: int) -> int:
     return x ^ (x >> 31)
 
 
-#: Per membership view -- (member tuple, shard count) -- the owner table
-#: and the shard -> :meth:`ShardMap.owners_ranked` rankings, filled on
-#: demand.  Every router of a converged federation asks for the identical
-#: view, so the rendezvous sweep and each ranking run once per view per
+#: A keyed lookup's read plan: each owner of the key's sub-shards, in
+#: first-read order, with the sub-shards it serves (owner ``None`` in the
+#: empty view, where everything is local).
+_ReadPlan = Dict[Optional[str], Tuple[int, ...]]
+
+_View = Tuple[
+    Tuple[str, ...], Dict[int, Tuple[str, ...]], Dict[_IndexKey, _ReadPlan]
+]
+
+#: Per membership view -- (member tuple, shard count) -- the owner table,
+#: the shard -> :meth:`ShardMap.owners_ranked` rankings and the route key
+#: -> :meth:`ShardMap.read_plan` plans, the last two filled on demand.
+#: Every router of a converged federation asks for the identical view, so
+#: the rendezvous sweep, each ranking and each plan run once per view per
 #: process.
-_VIEW_CACHE: Dict[
-    Tuple[Tuple[str, ...], int],
-    Tuple[Tuple[str, ...], Dict[int, Tuple[str, ...]]],
-] = {}
+_VIEW_CACHE: Dict[Tuple[Tuple[str, ...], int], _View] = {}
 
 
-def _view(
-    members: Tuple[str, ...], shard_count: int
-) -> Tuple[Tuple[str, ...], Dict[int, Tuple[str, ...]]]:
+def _view(members: Tuple[str, ...], shard_count: int) -> _View:
     cache_key = (members, shard_count)
     view = _VIEW_CACHE.get(cache_key)
     if view is None:
@@ -216,7 +221,7 @@ def _view(
             )
         if len(_VIEW_CACHE) > 64:
             _VIEW_CACHE.clear()
-        view = _VIEW_CACHE[cache_key] = (table, {})
+        view = _VIEW_CACHE[cache_key] = (table, {}, {})
     return view
 
 
@@ -228,6 +233,11 @@ class ShardMap:
     the same owner for every shard, and changing the membership by one
     node only moves the shards whose argmax that node is (minimal
     disruption on join/leave/crash).
+
+    What derives from the view alone is computed once per view and shared
+    by every map that holds it: the owner table, each shard's ranking,
+    and each route key's read plan (:meth:`read_plan`).  A rebuild swaps
+    all three, so a map never serves one computed under another view.
     """
 
     def __init__(self, shard_count: int = DEFAULT_SHARD_COUNT):
@@ -241,6 +251,9 @@ class ShardMap:
         #: every map of the same view (every replica frame asks again for
         #: the shards it carries).
         self._ranked: Dict[int, Tuple[str, ...]] = {}
+        #: route key -> :meth:`read_plan` under this view, shared likewise
+        #: (every keyed lookup and standing-query route asks again).
+        self._plans: Dict[_IndexKey, _ReadPlan] = {}
 
     def rebuild(self, members: Iterable[str]) -> bool:
         """Recompute the assignment; True when the view actually changed."""
@@ -249,13 +262,33 @@ class ShardMap:
             return False
         self.members = ordered
         self.version += 1
-        self._table, self._ranked = _view(ordered, self.shard_count)
+        self._table, self._ranked, self._plans = _view(ordered, self.shard_count)
         return True
 
     def owner(self, shard: int) -> Optional[str]:
         if not self._table:
             return None
         return self._table[shard]
+
+    def read_plan(self, key: _IndexKey) -> _ReadPlan:
+        """Where a keyed lookup reads ``key`` under this view: each owner
+        of the key's ``KEY_SPLIT`` sub-shards, in first-read order, with
+        its distinct sub-shards in that order.  The empty view has the one
+        owner ``None``.  The plan is shared by every map of the view, so
+        callers must not change it."""
+        plan = self._plans.get(key)
+        if plan is None:
+            grouped: Dict[Optional[str], List[int]] = {}
+            for salt in range(KEY_SPLIT):
+                shard = shard_of_key(key, self.shard_count, salt)
+                shards = grouped.setdefault(self.owner(shard), [])
+                if shard not in shards:
+                    shards.append(shard)
+            plan = {owner: tuple(shards) for owner, shards in grouped.items()}
+            if len(self._plans) > 4096:
+                self._plans.clear()
+            self._plans[key] = plan
+        return plan
 
     def owners_ranked(self, shard: int) -> List[str]:
         """Members by descending rendezvous weight (deterministic failover
@@ -463,18 +496,12 @@ class ShardStore:
             candidates = candidates & other
             if not candidates:
                 return []
-        return [
-            profile
-            for profile in (self._profiles[tid] for tid in candidates)
-            if query.matches(profile)
-        ]
+        return list(
+            filter(query.predicate, map(self._profiles.__getitem__, candidates))
+        )
 
     def scan(self, query: Query) -> List[TranslatorProfile]:
-        return [
-            profile
-            for profile in self._profiles.values()
-            if query.matches(profile)
-        ]
+        return list(filter(query.predicate, self._profiles.values()))
 
 
 class ShardFabric:
@@ -666,10 +693,6 @@ class ShardRouter:
         """The sub-shard one specific profile's placement for ``key``
         lives on (tests/benchmarks: 'who owns this profile's key?')."""
         return self.shard_of(key, placement_salt(translator_id))
-
-    def read_shards(self, key: _IndexKey) -> List[int]:
-        """Every sub-shard a keyed lookup must consult."""
-        return [self.shard_of(key, salt) for salt in range(KEY_SPLIT)]
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -1470,10 +1493,10 @@ class ShardRouter:
         else:
             # Interest covers every sub-shard of the key: whichever owner
             # a matching profile's salt lands on must reach us.
-            targets = set()
-            for shard in self.read_shards(route_key):
-                owner = self.map.owner(shard)
-                targets.add(owner if owner is not None else self.runtime_id)
+            targets = {
+                owner if owner is not None else self.runtime_id
+                for owner in self.map.read_plan(route_key)
+            }
         stale = record["owners"] - targets
         if stale:
             payload = self._interest_frame("umiddle-shard-unsubscribe", route_key)
@@ -1547,9 +1570,15 @@ class ShardRouter:
 
     def lookup(self, query: Query) -> List[TranslatorProfile]:
         """Sharded lookup: route by the query's first index key to the
-        owning shard (TTL cache for hot keys), fan out + merge when the
-        query has no indexable key, and overlay the local directory view
-        (own translators are visible before placement propagates).
+        owners of its sub-shards (TTL cache for hot keys), fan out + merge
+        when the query has no indexable key, and overlay the local
+        directory view (own translators are visible before placement
+        propagates).
+
+        The owners come from the view's read plan for the key
+        (:meth:`ShardMap.read_plan`), grouped once per view, not per
+        lookup; every candidate is filtered by the query's
+        :attr:`~repro.core.query.Query.predicate`.
 
         Results are ordered healthy-first, then by translator id -- the
         flat path's per-node registration order has no global analog."""
@@ -1558,23 +1587,15 @@ class ShardRouter:
             matched = self._fanout_scan(query)
         else:
             route_key = keys[0]
-            remote: Dict[str, List[int]] = {}
-            local = False
-            for shard in self.read_shards(route_key):
-                owner = self.map.owner(shard)
-                if owner is None or owner == self.runtime_id:
-                    local = True
-                else:
-                    shards = remote.setdefault(owner, [])
-                    if shard not in shards:
-                        shards.append(shard)
+            plan = self.map.read_plan(route_key)
+            local = None in plan or self.runtime_id in plan
             matched = []
             if local:
                 self.local_lookups += 1
                 matched.extend(self.store.lookup(query))
-            if remote:
-                bucket = self._routed_bucket(route_key, remote)
-                matched.extend(p for p in bucket if query.matches(p))
+            if len(plan) > local:  # an owner besides this node
+                bucket = self._routed_bucket(route_key, plan)
+                matched.extend(filter(query.predicate, bucket))
         if self._lost_origins:
             # A peer whose lease expiry fires after ours (or a stale TTL
             # cache entry) can still serve profiles from an origin this
@@ -1604,11 +1625,11 @@ class ShardRouter:
         return monitor.peer_health(runtime_id) is HealthState.QUARANTINED
 
     def _routed_bucket(
-        self, route_key: _IndexKey, owner_shards: Dict[str, List[int]]
+        self, route_key: _IndexKey, plan: _ReadPlan
     ) -> Tuple[TranslatorProfile, ...]:
         """The merged remote bucket for one key: one RPC per distinct
-        sub-shard owner, replica failover per shard, TTL-cached as a
-        unit.
+        sub-shard owner in the read plan other than this node, replica
+        failover per shard, TTL-cached as a unit.
 
         A reachable, non-quarantined primary serves its whole key bucket
         authoritatively.  An unreachable one fails over shard by shard:
@@ -1636,7 +1657,9 @@ class ShardRouter:
         merged: Dict[str, TranslatorProfile] = {}
         authoritative = True
         failed: Optional[Tuple[int, str]] = None
-        for owner, shards in owner_shards.items():
+        for owner, shards in plan.items():
+            if owner == self.runtime_id:
+                continue
             router = self._peer_router(fabric, owner)
             if router is not None and not self._quarantined_peer(owner):
                 self.routed_lookups += 1
@@ -1709,12 +1732,13 @@ class ShardRouter:
         if authoritative:
             self._cache[route_key] = (now, bucket)
         if self.runtime.tracing:
+            owners = len(plan) - (self.runtime_id in plan)
             self.runtime.trace(
                 "shard.lookup-routed",
                 f"{route_key[0]}={route_key[1]} -> "
-                f"{len(owner_shards)} owner(s) "
+                f"{owners} owner(s) "
                 f"({len(bucket)} candidate(s))",
-                owners=len(owner_shards),
+                owners=owners,
             )
         return bucket
 

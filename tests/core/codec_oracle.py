@@ -224,7 +224,7 @@ def _map_key(key: Any) -> str:
     if key is None:
         return "null"
     if isinstance(key, int):
-        return str(key)
+        return int.__repr__(key)
     if isinstance(key, float):
         if key != key:
             return "NaN"
@@ -232,7 +232,7 @@ def _map_key(key: Any) -> str:
             return "Infinity"
         if key == float("-inf"):
             return "-Infinity"
-        return repr(key)
+        return float.__repr__(key)
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(key)}")
 
 

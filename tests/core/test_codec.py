@@ -17,6 +17,7 @@ envelopes/batches, directory gossip datagrams, and journal record bodies
 
 import json
 import random
+from enum import IntEnum
 
 import pytest
 
@@ -41,6 +42,15 @@ from repro.core.qos import QosPolicy
 from repro.core.query import Query
 from repro.core.translator import Translator
 from repro.testbed import build_testbed
+
+class _Level(IntEnum):
+    LOW = 1
+
+
+class _OddFloat(float):
+    def __repr__(self):
+        return "F!"
+
 
 # -- fuzzed structure generators -------------------------------------------
 
@@ -166,6 +176,22 @@ class TestRoundTrip:
         assert from_binary == from_json
         frame = WireEncoder().encode_envelope({"kind": "message", "payload": [data]})
         assert WireDecoder().decode_frame(frame)["payload"] == [canonical(data)]
+
+    @pytest.mark.parametrize(
+        "key, spelled",
+        [(_Level.LOW, "1"), (_OddFloat(1.5), "1.5")],
+        ids=["int-enum", "float-subclass"],
+    )
+    def test_int_and_float_subclass_keys_replay_as_json_spells_them(self, key, spelled):
+        # json.dumps writes int.__repr__ and float.__repr__ of the key,
+        # whatever the subclass's own __str__ or __repr__ say.
+        data = {"keys": {key: "x"}}
+        (from_json,), _clean, _junk = replay_blob(encode_record(1, "register", data))
+        (from_binary,), _clean, _junk = replay_blob(
+            encode_record(1, "register", data, binary=True)
+        )
+        assert from_json["data"] == {"keys": {spelled: "x"}}
+        assert from_binary == from_json
 
     def test_opaque_payload_rides_out_of_band_at_declared_size(self):
         # Non-structured payloads are stand-ins for bytes the simulation

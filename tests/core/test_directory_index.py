@@ -6,6 +6,11 @@ linear scan returns, in the same order, across arbitrary profile/query
 corpora -- including wildcard physical types and shape templates -- and
 the index must stay consistent with the entry table through churn
 (register/unregister/announcement apply/expire/sweep/crash).
+
+The exact filter is pinned too: for every query and every profile, the
+query's predicate, ``Query.matches`` and the reference semantics in
+``tests/core/query_oracle.py`` agree -- every one-criterion shape,
+mixed-case ``name_contains`` against mixed-case names included.
 """
 
 from __future__ import annotations
@@ -20,12 +25,14 @@ from repro.core.query import Query
 from repro.core.runtime import UMiddleRuntime
 from repro.core.shapes import Direction, PortSpec, Shape
 
+from tests.core import query_oracle
 from tests.core.conftest import make_sink
 
 PLATFORMS = ["upnp", "jini", "bluetooth", "motes", "umiddle"]
 DEVICE_TYPES = ["camera", "printer", "light", "sensor", "renderer"]
 ROLES = ["display", "sensor", "printer", "player", "storage"]
-NAMES = ["living-room tv", "Lab Printer", "cam-7", "Motion Sensor", "speaker"]
+#: Mixed case on purpose: ``name_contains`` folds both sides.
+NAMES = ["Living-Room TV", "Lab Printer", "Cam-7", "Motion Sensor", "speaker"]
 MIMES = ["text/plain", "image/jpeg", "audio/wav", "application/postscript"]
 MIME_PATTERNS = MIMES + ["image/*", "audio/*", "*/jpeg", "*/*"]
 PERCEPTIONS = ["visible", "audible", "tangible"]
@@ -87,28 +94,33 @@ def random_template(rng: random.Random) -> Shape:
 
 
 def random_query(rng: random.Random) -> Query:
-    kwargs = {}
-    if rng.random() < 0.35:
-        kwargs["platform"] = rng.choice(PLATFORMS)
-    if rng.random() < 0.25:
-        kwargs["device_type"] = rng.choice(DEVICE_TYPES)
-    if rng.random() < 0.35:
-        kwargs["role"] = rng.choice(ROLES)
-    if rng.random() < 0.2:
-        kwargs["name_contains"] = rng.choice(["TV", "printer", "cam", "sensor", "q"])
+    """A random query: three in ten set exactly one criterion, each kind
+    alike; the rest draw every criterion on its own."""
+    criteria = {
+        "platform": (0.35, lambda: rng.choice(PLATFORMS)),
+        "device_type": (0.25, lambda: rng.choice(DEVICE_TYPES)),
+        "role": (0.35, lambda: rng.choice(ROLES)),
+        "name_contains": (
+            0.2,
+            lambda: rng.choice(["tv", "TV", "printer", "PrInT", "Cam", "sENSOR", "q"]),
+        ),
+        "input_mime": (0.3, lambda: rng.choice(MIME_PATTERNS)),
+        "output_mime": (0.3, lambda: rng.choice(MIME_PATTERNS)),
+        "physical_input": (0.25, lambda: random_physical_pattern(rng)),
+        "physical_output": (0.25, lambda: random_physical_pattern(rng)),
+        "template": (0.15, lambda: random_template(rng)),
+        "attributes": (0.15, lambda: {"zone": rng.choice(["room-a", "room-b"])}),
+    }
     if rng.random() < 0.3:
-        kwargs["input_mime"] = rng.choice(MIME_PATTERNS)
-    if rng.random() < 0.3:
-        kwargs["output_mime"] = rng.choice(MIME_PATTERNS)
-    if rng.random() < 0.25:
-        kwargs["physical_input"] = random_physical_pattern(rng)
-    if rng.random() < 0.25:
-        kwargs["physical_output"] = random_physical_pattern(rng)
-    if rng.random() < 0.15:
-        kwargs["template"] = random_template(rng)
-    if rng.random() < 0.15:
-        kwargs["attributes"] = {"zone": rng.choice(["room-a", "room-b"])}
-    return Query(**kwargs)
+        name = rng.choice(list(criteria))
+        return Query(**{name: criteria[name][1]()})
+    return Query(
+        **{
+            name: draw()
+            for name, (chance, draw) in criteria.items()
+            if rng.random() < chance
+        }
+    )
 
 
 def assert_oracle(directory, query: Query) -> None:
@@ -117,6 +129,12 @@ def assert_oracle(directory, query: Query) -> None:
     assert [p.translator_id for p in indexed] == [
         p.translator_id for p in linear
     ], f"indexed lookup diverged for {query!r}"
+    predicate = query.predicate
+    for profile in directory.profiles():
+        expected = query_oracle.matches(query, profile)
+        assert predicate(profile) == query.matches(profile) == expected, (
+            f"{query!r} on {profile!r}"
+        )
 
 
 class TestLookupOracle:
@@ -141,8 +159,21 @@ class TestLookupOracle:
             else:
                 directory.register(profile)
         directory.check_index_consistency()
+        lone_shapes = set()
         for _ in range(300):
-            assert_oracle(directory, random_query(rng))
+            query = random_query(rng)
+            assert_oracle(directory, query)
+            criteria = set(query.to_dict())
+            if len(criteria) == 1:
+                lone_shapes |= criteria
+                # A lone scalar or name criterion tests just its field.
+                fast = criteria <= {"platform", "device_type", "role", "name_contains"}
+                assert (query.predicate != query.matches) == fast, query
+        assert lone_shapes == {
+            "platform", "device_type", "role", "name_contains", "input_mime",
+            "output_mime", "physical_input", "physical_output", "template",
+            "attributes",
+        }
         # The empty query (non-indexable) still enumerates everything.
         assert len(directory.lookup(Query())) == 150
 

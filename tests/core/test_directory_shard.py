@@ -21,6 +21,7 @@ from repro.core.query import Query
 from repro.core.runtime import UMiddleRuntime
 from repro.core.shard import (
     DEFAULT_SHARD_COUNT,
+    KEY_SPLIT,
     ShardMap,
     ShardStore,
     shard_of_key,
@@ -98,6 +99,24 @@ class TestShardMap:
         second.rebuild(members[:-1])
         assert second.owners_ranked(9) == [m for m in expected if m != "rt-4"]
         assert first.owners_ranked(9) == expected
+
+    def test_read_plan_groups_sub_shards_by_owner_in_first_read_order(self):
+        """A key's read plan lists each owner of its sub-shards once, in
+        the order the salts first reach it, with its distinct sub-shards
+        in read order; in the empty view the one owner is None."""
+        key = ("device", "camera")
+        reads = [shard_of_key(key, 64, salt) for salt in range(KEY_SPLIT)]
+        for members in ([], ["a"], ["a", "b", "c"], [f"rt-{i}" for i in range(8)]):
+            shard_map = ShardMap(64)
+            shard_map.rebuild(members)
+            expected = {}
+            for shard in reads:
+                shards = expected.setdefault(shard_map.owner(shard), [])
+                if shard not in shards:
+                    shards.append(shard)
+            plan = shard_map.read_plan(key)
+            assert list(plan) == list(expected), members
+            assert plan == {o: tuple(s) for o, s in expected.items()}, members
 
     def test_key_hashing_is_stable(self):
         key = ("role", "display")
@@ -285,6 +304,57 @@ class TestShardedLookupOracle:
         reader.kernel.run(until=reader.kernel.now + 6.0)
         reader.lookup(query)
         assert reader.shards.routed_lookups == 2 * cost
+
+
+class TestReadPlanAcrossViewChange:
+    def test_keyed_lookups_follow_the_view_through_leave_and_rejoin(
+        self, cluster, flat
+    ):
+        """A keyed lookup repeated while a member leaves the view and
+        rejoins it answers like the flat oracle each time, and never
+        consults a member outside the reader's view, even one whose
+        router is still up; the routers of one view share its plans."""
+        rng = random.Random(2506)
+        for runtime in cluster:
+            runtime.shards.cache_ttl = 0.0
+        survivors, leaver = cluster[:3], cluster[3]
+        # The leaver holds placements only, so the oracle does not change.
+        profiles = populate(rng, survivors, flat, 120)
+        queries = [Query(platform=p) for p in ("upnp", "jini", "motes")] + [
+            Query(device_type="camera"),
+            Query(role="display", input_mime="text/*"),
+        ]
+
+        by_id = {runtime.runtime_id: runtime for runtime in cluster}
+
+        def change_view(members):
+            ids = [runtime.runtime_id for runtime in members]
+            for runtime in members:
+                runtime.shards.seed_members(ids)
+            for profile in profiles:
+                by_id[profile.runtime_id].shards.local_registered(profile)
+
+        def lookups(readers):
+            before = leaver.shards.bucket_serves
+            for query in queries:
+                assert_sharded_oracle(readers, flat, query)
+            return leaver.shards.bucket_serves - before
+
+        assert lookups(cluster) > 0
+        key = queries[0].index_keys()[0]
+        plan = cluster[0].shards.map.read_plan(key)
+        assert all(r.shards.map.read_plan(key) is plan for r in cluster)
+        assert leaver.runtime_id in plan
+
+        change_view(survivors)
+        assert leaver.shards.active  # up, but outside the survivors' view
+        for _ in range(2):
+            assert lookups(survivors) == 0
+        assert survivors[0].shards.map.read_plan(key) is not plan
+
+        change_view(cluster)
+        assert lookups(cluster) > 0
+        assert all(r.shards.map.read_plan(key) == plan for r in cluster)
 
 
 class TestShardingOffIsFlat:
