@@ -140,7 +140,6 @@ def run_fanout(peers: int, batching: bool, structured: bool = False,
         "batches_sent": producer.transport.batches_sent,
         "journal_records": producer.journal.records_appended,
         "journal_bytes": producer.journal.bytes_written,
-        "spool_folds": producer.journal.spool_folds,
         "codec_frames_sent": producer.transport.codec_frames_sent,
         "batch_adaptations": producer.transport.batch_adaptations,
     }
@@ -233,12 +232,12 @@ def bench_latency_pair() -> dict:
 
 
 def bench_wal_pair() -> dict:
-    """PR 4 baseline: WAL on with group commit, 8-peer fanout.
+    """WAL on with group commit: 8-peer fanout on both planes, plus a
+    single-peer batched leg.
 
-    Fan-out interleaves the eight peers' spool appends, so record folding
-    cannot engage there (the counted acks carry the whole record saving);
-    a single-peer run shows the fold path, where consecutive same-peer
-    spools collapse into growing ``spool-batch`` records.
+    Both planes write one ``spool`` record per envelope; the data plane's
+    saving is its counted acks, one ``spool-ack`` per batch frame instead
+    of one per envelope.
     """
     off = run_fanout(8, batching=False, fsync_interval=0.05)
     on = run_fanout(8, batching=True, fsync_interval=0.05)
@@ -290,15 +289,14 @@ def test_dataplane_throughput(compare):
         rows,
     )
     compare(
-        "WAL on (group commit, 8 peers; fold leg 1 peer): data plane vs paper sender",
-        ["variant", "msgs/s", "journal records", "journal bytes", "spool folds"],
+        "WAL on (group commit, 8 peers; last leg 1 peer): data plane vs paper sender",
+        ["variant", "msgs/s", "journal records", "journal bytes"],
         [
             [
                 label,
                 wal[leg]["msgs_per_sim_s"],
                 wal[leg]["journal_records"],
                 wal[leg]["journal_bytes"],
-                wal[leg]["spool_folds"],
             ]
             for label, leg in (
                 ("unbatched", "off"),
@@ -347,11 +345,9 @@ def test_dataplane_throughput(compare):
     for peers in PEER_COUNTS:
         assert matrix[str(peers)]["wire_bytes_ratio"] < 1.0, peers
     # Acceptance: WAL-on batched beats WAL-on unbatched, with strictly
-    # fewer journal records (counted acks + folded spool-batch runs).
+    # fewer journal records (counted acks).
     assert wal["speedup"] > 1.0, wal
     assert wal["on"]["journal_records"] < wal["off"]["journal_records"], wal
-    # Folding engages on consecutive same-peer spool runs (single peer).
-    assert wal["single_peer_on"]["spool_folds"] > 0, wal
     # Acceptance (PR 7): the binary codec with adaptive batching cuts
     # wire bytes to <= 0.25x the JSON stop-and-wait baseline.
     assert codec["wire_bytes_vs_stop_and_wait"] <= 0.25, codec

@@ -129,10 +129,9 @@ def victim_hit_queries(reader, victim_id: str):
     hitting, clean = [], []
     for type_index in range(types):
         value = f"type-{type_index}"
-        owners = set(reader.shards.map.read_plan(("device_type", value)))
-        (hitting if victim_id in owners else clean).append(
-            Query(device_type=value)
-        )
+        query = Query(device_type=value)
+        owners = set(reader.shards.map.read_plan(query.index_keys()[0]))
+        (hitting if victim_id in owners else clean).append(query)
     return hitting, clean
 
 

@@ -26,10 +26,10 @@ Three framing contexts share the value encoding:
   field names for every entry it carries.
 - **Journal record bodies** (:func:`encode_journal_body`): newline-escaped
   so the journal's line framing and CRC machinery are untouched; the
-  record-level CRC already covers integrity.  A data-plane journal binds
-  one table to each blob, as the transport binds one to each stream: a
-  blob is written in order by one writer and replayed front to back, so
-  a record's body (magic ``0xB4``) references every string the blob's
+  record-level CRC already covers integrity.  Every journal binds one
+  table to each blob, as the transport binds one to each stream: a blob
+  is written in order by one writer and replayed front to back, so a
+  record's body (magic ``0xB4``) references every string the blob's
   earlier records defined, and a checkpoint -- which rewrites the blob
   as one self-contained body (``0xB2``, or ``0xB3`` compressed) --
   restarts the table, like a reconnect.  The writer holds a
@@ -37,9 +37,9 @@ Three framing contexts share the value encoding:
 
 Which form a frame takes is decided by the sender's own flags alone; every
 receiver decodes every frame kind whatever its own flags, so no per-peer
-negotiation exists.  A runtime with the data plane off emits no binary
-frame at all, and a runtime with it on sends delta batches and compressed
-bulk gossip to every peer.
+negotiation exists.  A runtime with the data plane off sends no binary
+frame at all (its journal is binary all the same), and a runtime with it
+on sends delta batches and compressed bulk gossip to every peer.
 
 Message payloads are special.  A :class:`~repro.core.messages.UMessage`
 payload is usually a *stand-in* Python object whose declared ``size``
@@ -82,7 +82,6 @@ __all__ = [
     "encode_gossip",
     "encode_journal_body",
     "encoded_size",
-    "is_binary_journal_body",
     "json_size",
 ]
 
@@ -104,7 +103,7 @@ _T_WIDE_INT = 0x0C
 
 #: First byte of every transport/gossip frame.
 WIRE_MAGIC = 0xB1
-#: First byte of a binary journal record body (JSON bodies start with '{').
+#: First byte of a self-contained journal record body.
 JOURNAL_MAGIC = 0xB2
 #: First byte of a zlib-compressed binary journal record body.
 JOURNAL_MAGIC_Z = 0xB3
@@ -142,12 +141,13 @@ DYNAMIC_LIMIT = 4096
 
 #: Protocol strings every encoder and decoder knows a priori (ids are the
 #: tuple indexes; the dynamic table starts right after).  Order is part of
-#: the wire protocol -- append, never reorder.  Ten strings are no longer
+#: the wire protocol -- append, never reorder.  Eleven strings are no longer
 #: emitted and stay as reserved ids, because removing them would renumber
 #: every later id: six belong to the retired per-peer codec handshake and
 #: its journal records (ids 18, 19, 93, 94, 97 and 99), four to the
 #: retired load-weighted shard placement (``shard_load``, ``tiers``,
-#: ``shard-weights`` and ``shard_weights``: ids 95, 96, 98 and 100).
+#: ``shard-weights`` and ``shard_weights``: ids 95, 96, 98 and 100), and
+#: one to the retired folded spool record (``spool-batch``: id 29).
 STATIC_SYMBOLS: Tuple[str, ...] = (
     # envelope / batch framing
     "kind", "message", "batch", "count", "envelopes", "mime", "payload",
@@ -291,8 +291,8 @@ def _write_int(buf: bytearray, value: int) -> None:
 
 
 def _map_key(key: Any) -> str:
-    """Coerce a dict key the way ``json.dumps`` does (parity matters: the
-    journal's replayed state must match what the JSON encoding produced),
+    """Coerce a dict key the way ``json.dumps`` does (parity matters: a
+    value must decode to what the paper plane's JSON wire delivers),
     non-finite floats included.  An int or float subclass (an ``IntEnum``
     member, say) is spelled by its base type's ``__repr__``, as JSON spells
     it, never by its own ``__str__`` or ``__repr__``."""
@@ -363,20 +363,12 @@ class WireEncoder:
         defined from now on."""
         return len(self._symbols)
 
-    def rollback(self, mark: int) -> Dict[str, bytes]:
+    def rollback(self, mark: int) -> None:
         """Forget the symbols defined since the table had ``mark``
-        entries (dicts keep insertion order, so these are the newest);
-        returns them, oldest first, for :meth:`restore`."""
+        entries (dicts keep insertion order, so these are the newest)."""
         symbols = self._symbols
-        dropped = []
         while len(symbols) > mark:
-            dropped.append(symbols.popitem())
-        return dict(reversed(dropped))
-
-    def restore(self, dropped: Dict[str, bytes]) -> None:
-        """Define again, under their old ids, the symbols a
-        :meth:`rollback` to the table's present size returned."""
-        self._symbols.update(dropped)
+            symbols.popitem()
 
     # -- value encoding ------------------------------------------------------
 
@@ -970,13 +962,11 @@ def encode_journal_body(
     """Encode one journal record body (``{"data", "kind", "lsn"}``).
 
     The body must coexist with the journal's line framing: a leading
-    magic byte discriminates it from JSON bodies (which start with
-    ``{``), and every 0x0A/0x1B inside the encoding is escaped so the
-    record still terminates at its own newline.  The record-level CRC is
-    computed over the escaped on-disk bytes, exactly as for JSON bodies,
-    so replay and tail-repair semantics are untouched.  Raises
-    :class:`TypeError` (before any state changes) for non-representable
-    data, mirroring ``json.dumps``.
+    magic byte declares its form, and every 0x0A/0x1B inside the
+    encoding is escaped so the record still terminates at its own
+    newline.  The record-level CRC is computed over the escaped on-disk
+    bytes.  Raises :class:`TypeError` (before any state changes) for
+    non-representable data, mirroring ``json.dumps``.
 
     Given ``table`` -- the writer's table of the blob the record goes
     to -- the body is blob-scoped (:data:`JOURNAL_MAGIC_BLOB`): strings
@@ -1010,10 +1000,6 @@ def encode_journal_body(
     return bytes((magic,)) + escaped
 
 
-def is_binary_journal_body(body: bytes) -> bool:
-    return body[:1] in _JOURNAL_MAGICS
-
-
 def decode_journal_body(body: bytes, table: Optional[BlobSymbols] = None) -> dict:
     """Decode a binary journal record body back into its record dict.
 
@@ -1023,8 +1009,8 @@ def decode_journal_body(body: bytes, table: Optional[BlobSymbols] = None) -> dic
     A blob-scoped body without a table raises :class:`CodecError`.
     Self-contained bodies neither read nor extend the table.
     """
-    if not is_binary_journal_body(body):
-        raise CodecError("not a binary journal body")
+    if body[:1] not in _JOURNAL_MAGICS:
+        raise CodecError("not a journal body")
     scoped = body[0] == JOURNAL_MAGIC_BLOB
     if scoped and table is None:
         raise CodecError("blob-scoped journal body read without its blob's table")

@@ -17,14 +17,13 @@ One record per line::
 
     <crc32 hex, 8 chars> <body: {"data": ..., "kind": ..., "lsn": n}>\\n
 
-- The body's first byte declares its format, so blobs mixing formats
-  replay.  A runtime with the data plane off writes canonical JSON.  One
-  with it on writes binary codec bodies (:mod:`repro.core.codec`): a
-  checkpoint is self-contained (``0xB2``, or ``0xB3`` when zlib shrinks
-  it) and restarts the blob's symbol table, every other record is
-  blob-scoped (``0xB4``) -- encoded against the table the blob's earlier
-  records built, so a string costs its bytes once per blob and a 2-3
-  byte reference after that.
+- The body is the record in the binary codec (:mod:`repro.core.codec`),
+  whatever the runtime's data-plane flags: a checkpoint is
+  self-contained (``0xB2``, or ``0xB3`` when zlib shrinks it) and
+  restarts the blob's symbol table, every other record is blob-scoped
+  (``0xB4``) -- encoded against the table the blob's earlier records
+  built, so a string costs its bytes once per blob and a 2-3 byte
+  reference after that.
 - ``lsn`` is a per-journal monotonic sequence number; a gap or regression
   during replay stops the scan (a torn or reordered tail is never applied).
 - The CRC-32 covers the body; a mismatch (bit flip) also stops the
@@ -60,7 +59,6 @@ the blob from the mirror, so nothing that was ever appended is lost.
 
 from __future__ import annotations
 
-import json
 import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
@@ -69,10 +67,8 @@ from repro.core.codec import (
     BlobSymbols,
     CodecError,
     WireEncoder,
-    canonical_json,
     decode_journal_body,
     encode_journal_body,
-    is_binary_journal_body,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -146,31 +142,26 @@ def encode_record(
     lsn: int,
     kind: str,
     data: dict,
-    binary: bool = False,
     compress: bool = False,
     table: Optional[WireEncoder] = None,
 ) -> bytes:
     """One checksummed, line-framed journal record.
 
-    With ``binary=True`` the body is the escaped binary codec encoding
-    (magic byte ``0xB2``, see :mod:`repro.core.codec`) instead of
-    canonical JSON; the line framing and CRC are identical either way,
-    and mixed blobs replay fine -- each body declares its own format in
-    its first byte.  ``table`` (binary only), the writer's symbol table
-    of the blob the record is appended to, makes the body blob-scoped
-    (magic ``0xB4``): it references the strings the blob's earlier
-    records defined.  ``compress=True`` (binary, no table) additionally
-    zlib-deflates the body (magic ``0xB3``) when that shrinks it -- used
-    for checkpoint records, which serialize the whole mirror.  The
-    body's encoding raises :class:`TypeError` for a value it cannot
-    represent -- the codec refuses only what JSON refuses too -- and a
-    failed binary encode leaves ``table`` as it was.
+    The body is the escaped binary codec encoding of the record (see
+    :func:`~repro.core.codec.encode_journal_body`).  ``table``, the
+    writer's symbol table of the blob the record is appended to, makes
+    the body blob-scoped (magic ``0xB4``): it references the strings the
+    blob's earlier records defined.  Without it the body is
+    self-contained (``0xB2``), and ``compress=True`` additionally
+    zlib-deflates it (magic ``0xB3``) when that shrinks it -- used for
+    checkpoint records, which serialize the whole mirror.  The body's
+    encoding raises :class:`TypeError` for a value it cannot represent
+    -- the codec refuses only what JSON refuses too -- and a failed
+    encode leaves ``table`` as it was.
     """
-    record = {"data": data, "kind": kind, "lsn": lsn}
-    if binary:
-        body = encode_journal_body(record, compress=compress, table=table)
-    else:
-        body = canonical_json(record)
+    body = encode_journal_body(
+        {"data": data, "kind": kind, "lsn": lsn}, compress=compress, table=table
+    )
     return b"%08x " % (zlib.crc32(body) & 0xFFFFFFFF) + body + b"\n"
 
 
@@ -186,17 +177,11 @@ def _decode_line(line: bytes, symbols: BlobSymbols) -> Optional[dict]:
         return None
     if zlib.crc32(body) & 0xFFFFFFFF != crc:
         return None
-    if is_binary_journal_body(body):
-        try:
-            record = decode_journal_body(body, table=symbols)
-        except CodecError:
-            return None
-    else:
-        try:
-            record = json.loads(body)
-        except ValueError:
-            return None
-    if not isinstance(record, dict) or "lsn" not in record or "kind" not in record:
+    try:
+        record = decode_journal_body(body, table=symbols)
+    except CodecError:
+        return None
+    if "lsn" not in record or "kind" not in record:
         return None
     return record
 
@@ -305,19 +290,11 @@ class Journal:
         media: DurableMedia,
         enabled: bool = True,
         fsync_interval: float = 0.0,
-        binary: bool = False,
     ):
         self.runtime = runtime
         self.media = media
         self.enabled = enabled
         self.fsync_interval = fsync_interval
-        #: Encode new record bodies with the binary codec (blob-scoped,
-        #: see :meth:`_scan`), and zlib-deflate binary checkpoint bodies
-        #: (self-contained).  Purely a write-side choice: replay reads
-        #: every format by the body's magic byte, so flipping the flag
-        #: across restarts (or recovering a JSON-era blob with the codec
-        #: on) needs no migration.
-        self.binary = binary
         #: True while the runtime is crashed or replaying: appends dropped.
         self.muted = False
         self._pending = bytearray()
@@ -337,19 +314,12 @@ class Journal:
         for record in records:
             self._apply(self._mirror, record["kind"], record["data"])
         self._records_since_checkpoint = 0
-        #: Foldable pending tail: metadata of the last appended record when
-        #: it is a still-in-the-group-commit-buffer ``spool-batch``, so the
-        #: next :meth:`append_spool` for the same peer can grow it in place
-        #: instead of appending a new record.  Invalidated by any other
-        #: append, by a flush, and by checkpoints.
-        self._fold: Optional[dict] = None
         self.records_appended = 0
         self.fsyncs = 0
         self.bytes_written = 0
         self.records_lost = 0
         self.checkpoints = 0
         self.tail_repairs = 0
-        self.spool_folds = 0
 
     @property
     def blob(self) -> bytearray:
@@ -365,14 +335,13 @@ class Journal:
 
     def _scan(self) -> Tuple[List[dict], int, int]:
         """:func:`replay_blob` over the durable blob, rebinding the writer's
-        symbol table to the one the scan built: a binary journal writes
-        blob-scoped bodies, and its table always equals what a reader of
-        the durable blob plus the pending records holds."""
+        symbol table to the one the scan built: records are blob-scoped,
+        and the writer's table always equals what a reader of the durable
+        blob plus the pending records holds."""
         symbols = BlobSymbols()
         scan = replay_blob(self.blob, symbols)
-        #: The blob's symbol table, writer side; None when the journal
-        #: writes canonical JSON, which neither reads nor extends it.
-        self._encoder = symbols.encoder() if self.binary else None
+        #: The blob's symbol table, writer side.
+        self._encoder = symbols.encoder()
         return scan
 
     # -- writing ------------------------------------------------------------
@@ -380,14 +349,9 @@ class Journal:
     def append(self, kind: str, data: dict) -> None:
         if not self.enabled or self.muted:
             return
-        # Any interleaved record ends the foldable run: growing an earlier
-        # spool-batch past e.g. a spool-flush would reorder replay.
-        self._fold = None
         # Encode before committing the LSN: a non-serializable payload must
         # raise without leaving a gap in the sequence chain.
-        record = encode_record(
-            self._lsn + 1, kind, data, self.binary, table=self._encoder
-        )
+        record = encode_record(self._lsn + 1, kind, data, table=self._encoder)
         self._lsn += 1
         self._pending += record
         self._pending_tail = record
@@ -403,57 +367,12 @@ class Journal:
             self.runtime.kernel.call_later(self.fsync_interval, self._flush_timer)
 
     def append_spool(self, peer: str, envelope: dict, size: int) -> None:
-        """Write-ahead-log one spooled envelope, amortized.
+        """Write-ahead-log one spooled envelope as one ``spool`` record.
 
-        Consecutive spool appends for the same peer that are still sitting
-        in the group-commit buffer fold into a single growing
-        ``spool-batch`` record (shared framing, one line on disk), so WAL
-        bytes and record counts per message drop at high rates.  Durability
-        is unchanged: the entry rides the same pending buffer the
-        equivalent ``spool`` record would, and with ``fsync_interval=0``
-        every batch record is flushed holding exactly one entry.  Raises
-        :class:`TypeError` (before mutating any state) when the envelope is
-        not JSON-representable, like :meth:`append`.
+        Raises :class:`TypeError` (before mutating any state) when the
+        envelope is not JSON-representable, like :meth:`append`.
         """
-        if not self.enabled or self.muted:
-            return
-        fold = self._fold
-        encoder = self._encoder
-        if fold is not None and fold["peer"] == peer:
-            entries = fold["data"]["entries"]
-            entries.append([envelope, size])
-            # The grown record replaces the pending one, so it is encoded
-            # against the table as it stood before that one: the symbols
-            # the pending one defined go, and come back if the encode fails.
-            if encoder is not None:
-                defined = encoder.rollback(fold["mark"])
-            try:
-                record = encode_record(
-                    fold["lsn"], "spool-batch", fold["data"], self.binary,
-                    table=encoder,
-                )
-            except TypeError:
-                entries.pop()
-                if encoder is not None:
-                    encoder.restore(defined)
-                raise
-            del self._pending[fold["start"]:]
-            self._pending += record
-            self._pending_tail = record
-            self.spool_folds += 1
-            self._apply_spool_entry(self._mirror, peer, envelope, size)
-            return
-        data = {"peer": peer, "entries": [[envelope, size]]}
-        start = len(self._pending)
-        mark = encoder.mark() if encoder is not None else 0
-        self.append("spool-batch", data)
-        if len(self._pending) > start:
-            # The record is still pending (group commit): the next spool
-            # append for this peer may grow it in place.
-            self._fold = {
-                "peer": peer, "data": data, "lsn": self._lsn, "start": start,
-                "mark": mark,
-            }
+        self.append("spool", {"peer": peer, "envelope": envelope, "size": size})
 
     def sync(self) -> None:
         """Flush the pending buffer to stable storage (one group commit).
@@ -480,7 +399,6 @@ class Journal:
         self.fsyncs += 1
         self.bytes_written += len(self._pending)
         self._pending.clear()
-        self._fold = None  # flushed records are immutable
 
     @staticmethod
     def _last_frame(view, end: int) -> bytes:
@@ -505,17 +423,12 @@ class Journal:
         immediately -- they never sit in the group-commit buffer."""
         if not self.enabled or self.muted:
             return
-        record = encode_record(
-            1, "checkpoint", self._checkpoint_data(), self.binary,
-            compress=self.binary,
-        )
+        record = encode_record(1, "checkpoint", self._checkpoint_data(), compress=True)
         blob = self.blob
         del blob[:]
         blob.extend(record)
         self._pending.clear()  # effects already folded into the snapshot
-        self._fold = None
-        if self._encoder is not None:
-            self._encoder.reset()  # the self-contained record defines nothing
+        self._encoder.reset()  # the self-contained record defines nothing
         self._lsn = 1
         self._tail_frame = record
         self._records_since_checkpoint = 0
@@ -612,7 +525,6 @@ class Journal:
             self._lsn -= lost
             self._pending.clear()
             self._pending_tail = b""
-            self._fold = None
             records, _clean, _junk = self._scan()
             self._mirror = RecoveredState(applied_records=len(records))
             for record in records:
@@ -668,22 +580,18 @@ class Journal:
         elif kind == "path-close":
             state.paths.pop(data["path_id"], None)
         elif kind == "spool":
-            Journal._apply_spool_entry(
-                state, data["peer"], data["envelope"], data["size"]
-            )
-        elif kind == "spool-batch":
-            # One record covering a run of consecutive spool appends (the
-            # amortized form written by append_spool); entries stay FIFO.
-            for envelope, size in data["entries"]:
-                Journal._apply_spool_entry(state, data["peer"], envelope, size)
+            envelope = data["envelope"]
+            state.spool.setdefault(data["peer"], []).append((envelope, data["size"]))
+            stream = envelope.get("stream")
+            seq = envelope.get("seq")
+            if stream is not None and isinstance(seq, int):
+                state.stream_seqs[stream] = max(state.stream_seqs.get(stream, 0), seq)
         elif kind == "spool-ack":
             entries = state.spool.get(data["peer"])
             if entries:
-                # Per-peer delivery is FIFO: the ack pops from the head.  A
-                # batched sender acks a whole batch with one record
-                # carrying ``count``; legacy records pop exactly one.
-                count = int(data.get("count", 1))
-                del entries[: max(count, 0)]
+                # Per-peer delivery is FIFO: the ack pops the ``count``
+                # envelopes of one acknowledged frame from the head.
+                del entries[: data["count"]]
         elif kind == "spool-drop":
             entries = state.spool.get(data["peer"])
             if entries:
@@ -890,15 +798,5 @@ class Journal:
             else:
                 state.breakers[data["peer"]] = data
         # Unknown kinds are ignored: forward-compatible replay (older blobs
-        # also carry the retired codec-negotiation, ownership-epoch and
-        # load-weight kinds).
-
-    @staticmethod
-    def _apply_spool_entry(
-        state: RecoveredState, peer: str, envelope: dict, size: int
-    ) -> None:
-        state.spool.setdefault(peer, []).append((envelope, size))
-        stream = envelope.get("stream")
-        seq = envelope.get("seq")
-        if stream is not None and isinstance(seq, int):
-            state.stream_seqs[stream] = max(state.stream_seqs.get(stream, 0), seq)
+        # also carry the retired codec-negotiation, ownership-epoch,
+        # load-weight and spool-batch kinds).

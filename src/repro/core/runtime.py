@@ -73,16 +73,16 @@ class UMiddleRuntime:
         #: (``batching_enabled``, ``codec_enabled`` or
         #: ``compression_enabled``): per-peer senders coalesce envelopes
         #: into pipelined, load-adaptive batch frames with intra-batch
-        #: delta headers; batch frames, gossip bodies and journal records
-        #: use the interned varint encoding from :mod:`repro.core.codec`
-        #: instead of canonical JSON; bulk transfers (full-state pushes,
-        #: shard slice syncs) and journal checkpoints are zlib-compressed.
-        #: The sender's own flags pick the wire form -- every receiver
-        #: decodes every frame kind, so there is no per-peer negotiation.
-        #: Off by default: the stop-and-wait JSON paths reproduce the
-        #: paper's wire and journal bytes exactly.  Must be set before the
-        #: journal/directory/transport constructors below, which all read
-        #: it.
+        #: delta headers; batch frames and gossip bodies use the interned
+        #: varint encoding from :mod:`repro.core.codec` instead of
+        #: canonical JSON, and bulk transfers (full-state pushes, shard
+        #: slice syncs) are zlib-compressed.  The sender's own flags pick
+        #: the wire form -- every receiver decodes every frame kind, so
+        #: there is no per-peer negotiation.  Off by default: the
+        #: stop-and-wait JSON paths reproduce the paper's wire bytes
+        #: exactly.  The journal is the same on both planes (see
+        #: :mod:`repro.core.journal`).  Must be set before the directory
+        #: and transport constructors below, which read it.
         self.data_plane_enabled = bool(
             batching_enabled or codec_enabled or compression_enabled
         )
@@ -95,7 +95,6 @@ class UMiddleRuntime:
             durable_media(node.network),
             enabled=journal_enabled,
             fsync_interval=fsync_interval,
-            binary=self.data_plane_enabled,
         )
         # Health machinery must exist before the directory and transport:
         # both consult it from their constructors onward.

@@ -343,8 +343,8 @@ class Transport:
         #: on, it coalesces envelopes into pipelined, load-adaptive batch
         #: frames in the binary codec, delta-encoding the headers inside
         #: each batch; with it off, one bare JSON envelope per frame and
-        #: one frame in flight reproduce the paper's stop-and-wait wire and
-        #: journal bytes.
+        #: one frame in flight reproduce the paper's stop-and-wait wire
+        #: bytes.
         self.data_plane = runtime.data_plane_enabled
         #: Per-peer symbol-interning encoders, reset with their stream.
         self._encoders: Dict[str, WireEncoder] = {}
@@ -767,33 +767,21 @@ class Transport:
     def _journal_spool(
         self, peer: str, envelope: dict, size: int, force_opaque: bool = False
     ) -> None:
-        """Write-ahead-log one spooled envelope.
+        """Write-ahead-log one spooled envelope as one ``spool`` record,
+        before the envelope can leave the spool.
 
         The per-peer spool is FIFO, so replay alignment depends on *every*
         spooled envelope having a record: an envelope whose payload is not
         JSON-representable gets an opaque placeholder (it keeps the
         ack/drop pops aligned and carries the stream sequence, but cannot
-        be respooled after a cold restart).
-
-        With the data plane on the record goes through the journal's amortized
-        :meth:`~repro.core.journal.Journal.append_spool` path, which folds
-        consecutive same-peer appends still in the group-commit window
-        into one growing ``spool-batch`` record; the write-ahead point
-        (before the envelope can leave the spool) is identical."""
+        be respooled after a cold restart)."""
         journal = self.runtime.journal
         if force_opaque:
             envelope = self._opaque_marker(envelope)
-        if self.data_plane:
-            try:
-                journal.append_spool(peer, envelope, size)
-            except TypeError:
-                journal.append_spool(peer, self._opaque_marker(envelope), size)
-            return
         try:
-            journal.append("spool", {"peer": peer, "envelope": envelope, "size": size})
+            journal.append_spool(peer, envelope, size)
         except TypeError:
-            marker = self._opaque_marker(envelope)
-            journal.append("spool", {"peer": peer, "envelope": marker, "size": size})
+            journal.append_spool(peer, self._opaque_marker(envelope), size)
 
     @staticmethod
     def _opaque_marker(envelope: dict) -> dict:
@@ -1028,10 +1016,7 @@ class Transport:
                             for _ in range(acked):
                                 outbox.popleft()
                             runtime.journal.append(
-                                "spool-ack",
-                                {"count": count, "peer": runtime_id}
-                                if data_plane
-                                else {"peer": runtime_id},
+                                "spool-ack", {"count": count, "peer": runtime_id}
                             )
                             self.messages_relayed += acked
                         inflight.clear()

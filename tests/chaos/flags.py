@@ -9,11 +9,12 @@ invariant must hold under each entry:
   while keeping the fault *schedule* identical.
 - ``CHAOS_DATAPLANE`` picks the data plane every runtime runs:
 
-  - ``off`` (default): the paper's stop-and-wait JSON wire and journal;
+  - ``off`` (default): the paper's stop-and-wait JSON wire;
   - ``on``: batched, pipelined, load-adaptive senders speaking the
-    binary codec on the wire, in gossip bodies and in WAL record bodies,
-    with intra-batch delta frames, zlib bulk transfers and compressed
-    checkpoints.
+    binary codec on the wire and in gossip bodies, with intra-batch
+    delta frames and zlib bulk transfers.
+
+  Both write the same binary WAL, compressed checkpoints included.
 
 - ``CHAOS_SHARDED=1`` puts the rendezvous-sharded directory in the loop
   (ownership handoff, routed lookups, interest-scoped gossip).

@@ -498,9 +498,9 @@ class TestExactlyOnce:
 
 
 class TestBatchedDurability:
-    """Batching on: batch frames, counted ``spool-ack`` records and folded
-    ``spool-batch`` records must preserve the exactly-once and durable-FIFO
-    guarantees of the unbatched journal across cold crashes."""
+    """Batching on: batch frames and counted ``spool-ack`` records must
+    preserve the exactly-once and durable-FIFO guarantees of one-envelope
+    frames across cold crashes."""
 
     def build_pipeline(self, **kwargs):
         bed = build_testbed(hosts=["h1", "h2"])
@@ -567,9 +567,9 @@ class TestBatchedDurability:
 
     def test_opaque_marker_inside_a_batch_survives_two_recoveries(self):
         """An unserializable payload inside a batched spool run becomes an
-        opaque marker in the ``spool-batch`` record; the respool skips it
-        and the recovery checkpoint prunes it, so counted acks stay
-        aligned through a second cold crash."""
+        opaque marker in its ``spool`` record; the respool skips it and
+        the recovery checkpoint prunes it, so counted acks stay aligned
+        through a second cold crash."""
         bed, r1, r2, out, received = self.build_pipeline()
         r2.crash()  # peer down: everything spools as one batched run
         out.send(UMessage("text/plain", "m1", 100))
@@ -591,16 +591,15 @@ class TestBatchedDurability:
             m.payload for m in received if isinstance(m.payload, str)
         ) == ["m1", "m3"]
 
-    def test_folded_group_commit_records_replay_whole(self):
-        """Under group commit a same-peer spool run folds into a single
-        ``spool-batch`` record; once flushed it must replay every entry."""
+    def test_group_commit_records_replay_whole(self):
+        """Under group commit a same-peer spool run waits in the pending
+        buffer; once flushed it must replay every entry."""
         bed, r1, r2, out, received = self.build_pipeline(fsync_interval=1.0)
         r2.crash()  # spool without acks interleaving
         for index in range(6):
             out.send(UMessage("text/plain", f"m{index}", 100))
         bed.settle(0.3)
-        assert r1.journal.spool_folds > 0
-        r1.journal.sync()  # flush the folded record, then lose memory
+        r1.journal.sync()  # flush the pending records, then lose memory
         r1.crash(lose_state=True)
         r1.recover()
         assert r1.transport.respooled == 6
@@ -610,9 +609,8 @@ class TestBatchedDurability:
 
     def test_both_modes_agree_on_recovered_state(self):
         """The same spool-crash-recover scenario leaves identical durable
-        outcomes (respool count, delivered payloads) whether the journal
-        wrote per-envelope ``spool`` records or folded ``spool-batch``
-        runs with counted acks."""
+        outcomes (respool count, delivered payloads) whether the sender
+        ships one envelope per frame or counted batches."""
         outcomes = {}
         for mode in (False, True):
             bed = build_testbed(hosts=["h1", "h2"])

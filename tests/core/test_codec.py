@@ -22,6 +22,9 @@ from enum import IntEnum
 import pytest
 
 from repro.core.codec import (
+    JOURNAL_MAGIC,
+    JOURNAL_MAGIC_BLOB,
+    JOURNAL_MAGIC_Z,
     BinaryFrame,
     CodecError,
     WireDecoder,
@@ -31,7 +34,6 @@ from repro.core.codec import (
     encode_gossip,
     encode_journal_body,
     encoded_size,
-    is_binary_journal_body,
     json_size,
 )
 from repro.core.errors import ShapeError
@@ -42,6 +44,14 @@ from repro.core.qos import QosPolicy
 from repro.core.query import Query
 from repro.core.translator import Translator
 from repro.testbed import build_testbed
+
+#: First bytes of the three journal body forms.
+JOURNAL_MAGICS = {JOURNAL_MAGIC, JOURNAL_MAGIC_Z, JOURNAL_MAGIC_BLOB}
+
+
+def body_magics(blob):
+    """The first body byte of every record line in a journal blob."""
+    return {line[9] for line in bytes(blob).split(b"\n")[:-1]}
 
 class _Level(IntEnum):
     LOW = 1
@@ -146,13 +156,13 @@ class TestRoundTrip:
     def test_fuzzed_journal_records_round_trip(self):
         rng = random.Random(59)
         for lsn in range(1, 120):
-            data = {"peer": "rt-p0", "entries": [[fuzz_value(rng), lsn]]}
-            body = encode_journal_body({"data": data, "kind": "spool-batch", "lsn": lsn})
-            assert is_binary_journal_body(body)
+            data = {"peer": "rt-p0", "envelope": fuzz_value(rng), "size": lsn}
+            body = encode_journal_body({"data": data, "kind": "spool", "lsn": lsn})
+            assert body[0] == JOURNAL_MAGIC
             assert b"\n" not in body  # must coexist with line framing
             assert decode_journal_body(body) == {
                 "data": canonical(data),
-                "kind": "spool-batch",
+                "kind": "spool",
                 "lsn": lsn,
             }
 
@@ -165,15 +175,12 @@ class TestRoundTrip:
         assert decoder.decode_frame(frame)["payload"] == [canonical(value)]
 
     def test_non_finite_float_keys_replay_as_json_spells_them(self):
-        # json.dumps writes Infinity, -Infinity and NaN: a binary journal
-        # must replay the keys a JSON journal replays.
+        # json.dumps writes Infinity, -Infinity and NaN: the journal must
+        # replay the keys the JSON wire delivers.
         data = {"keys": {float("inf"): 1, float("-inf"): 2, float("nan"): 3, 0.5: 4}}
-        (from_json,), _clean, _junk = replay_blob(encode_record(1, "register", data))
-        (from_binary,), _clean, _junk = replay_blob(
-            encode_record(1, "register", data, binary=True)
-        )
-        assert from_json["data"] == {"keys": {"Infinity": 1, "-Infinity": 2, "NaN": 3, "0.5": 4}}
-        assert from_binary == from_json
+        (record,), _clean, _junk = replay_blob(encode_record(1, "register", data))
+        assert record["data"] == {"keys": {"Infinity": 1, "-Infinity": 2, "NaN": 3, "0.5": 4}}
+        assert record["data"] == canonical(data)
         frame = WireEncoder().encode_envelope({"kind": "message", "payload": [data]})
         assert WireDecoder().decode_frame(frame)["payload"] == [canonical(data)]
 
@@ -186,12 +193,9 @@ class TestRoundTrip:
         # json.dumps writes int.__repr__ and float.__repr__ of the key,
         # whatever the subclass's own __str__ or __repr__ say.
         data = {"keys": {key: "x"}}
-        (from_json,), _clean, _junk = replay_blob(encode_record(1, "register", data))
-        (from_binary,), _clean, _junk = replay_blob(
-            encode_record(1, "register", data, binary=True)
-        )
-        assert from_json["data"] == {"keys": {spelled: "x"}}
-        assert from_binary == from_json
+        (record,), _clean, _junk = replay_blob(encode_record(1, "register", data))
+        assert record["data"] == {"keys": {spelled: "x"}}
+        assert record["data"] == canonical(data)
 
     def test_opaque_payload_rides_out_of_band_at_declared_size(self):
         # Non-structured payloads are stand-ins for bytes the simulation
@@ -330,23 +334,12 @@ class TestCorruption:
                 decode_gossip(BinaryFrame(frame.data[:end]))
 
     def test_corrupt_journal_body_fails_record_crc(self):
-        record = encode_record(1, "register", {"a": [1, 2, 3]}, binary=True)
+        record = encode_record(1, "register", {"a": [1, 2, 3]})
         blob = bytearray(record)
         blob[12] ^= 0x10
         records, _clean, discarded = replay_blob(bytes(blob))
         assert records == []
         assert discarded == len(blob)
-
-    def test_mixed_format_blob_replays(self):
-        # A journal written partly before and partly after the codec flag
-        # flipped: replay reads both body formats in one chain.
-        blob = encode_record(1, "register", {"id": "t1"}, binary=False)
-        blob += encode_record(2, "register", {"id": "t2"}, binary=True)
-        blob += encode_record(3, "path-open", {"path_id": "p1"}, binary=False)
-        records, clean, discarded = replay_blob(blob)
-        assert [r["lsn"] for r in records] == [1, 2, 3]
-        assert records[1]["data"] == {"id": "t2"}
-        assert discarded == 0
 
 
 # -- data-plane compression: delta batches and compressed frames -----------
@@ -507,7 +500,7 @@ class TestCompressedFrames:
         plain = encode_journal_body(record)
         packed = encode_journal_body(record, compress=True)
         assert len(packed) < len(plain)
-        assert is_binary_journal_body(packed)
+        assert packed[0] == JOURNAL_MAGIC_Z
         assert b"\n" not in packed
         assert decode_journal_body(packed) == canonical(record)
 
@@ -516,10 +509,14 @@ class TestCompressedFrames:
         assert encode_journal_body(record, compress=True) == encode_journal_body(record)
 
     def test_compressed_journal_record_replays_in_mixed_blob(self):
+        # A compressed body between plain ones, in one LSN chain.
         big = {"profiles": [{"id": f"t{i}", "role": "display"} for i in range(40)]}
-        blob = encode_record(1, "register", {"id": "t1"}, binary=True)
-        blob += encode_record(2, "checkpoint", big, binary=True, compress=True)
-        blob += encode_record(3, "path-open", {"path_id": "p1"}, binary=False)
+        blob = encode_record(1, "register", {"id": "t1"})
+        blob += encode_record(2, "checkpoint", big, compress=True)
+        blob += encode_record(3, "path-open", {"path_id": "p1"})
+        assert [line[9] for line in blob.split(b"\n")[:-1]] == [
+            JOURNAL_MAGIC, JOURNAL_MAGIC_Z, JOURNAL_MAGIC,
+        ]
         records, _clean, discarded = replay_blob(blob)
         assert [r["lsn"] for r in records] == [1, 2, 3]
         assert records[1]["data"] == big
@@ -527,7 +524,7 @@ class TestCompressedFrames:
 
     def test_corrupt_compressed_journal_body_fails_record_crc(self):
         big = {"profiles": [{"id": f"t{i}", "role": "display"} for i in range(40)]}
-        record = encode_record(1, "checkpoint", big, binary=True, compress=True)
+        record = encode_record(1, "checkpoint", big, compress=True)
         blob = bytearray(record)
         blob[len(blob) // 2] ^= 0x10
         records, _clean, discarded = replay_blob(bytes(blob))
@@ -615,11 +612,10 @@ class TestIntRange:
 
     def test_journal_record_with_wide_int_gets_a_binary_body(self):
         data = {"id": "t1", "serial": 2**70}
-        blob = encode_record(1, "register", {"id": "t0"}, binary=True)
-        blob += encode_record(2, "register", data, binary=True)
-        blob += encode_record(3, "checkpoint", {"registered": {"t1": data}},
-                              binary=True, compress=True)
-        assert all(is_binary_journal_body(line[9:]) for line in blob.split(b"\n")[:-1])
+        blob = encode_record(1, "register", {"id": "t0"})
+        blob += encode_record(2, "register", data)
+        blob += encode_record(3, "checkpoint", {"registered": {"t1": data}}, compress=True)
+        assert body_magics(blob) <= JOURNAL_MAGICS
         records, _clean, discarded = replay_blob(blob)
         assert discarded == 0
         assert [r["data"] for r in records[1:]] == [data, {"registered": {"t1": data}}]
@@ -653,11 +649,10 @@ class TestIntRange:
         records, _clean, discarded = replay_blob(producer.journal.blob)
         assert discarded == 0
         spooled = [
-            envelope["payload"]
+            record["data"]["envelope"]["payload"]
             for record in records
-            if record["kind"] == "spool-batch"
-            for envelope, _size in record["data"]["entries"]
-            if envelope["kind"] == "message"
+            if record["kind"] == "spool"
+            and record["data"]["envelope"]["kind"] == "message"
         ]
         assert spooled == payloads
 
@@ -687,16 +682,15 @@ class TestEveryJsonValue:
         transport = producer.transport
         assert transport.codec_frames_sent == transport.batches_sent > 0
         blob = bytes(producer.journal.blob)
-        assert all(is_binary_journal_body(line[9:]) for line in blob.split(b"\n")[:-1])
+        assert body_magics(blob) <= JOURNAL_MAGICS
         records, _clean, discarded = replay_blob(blob)
         assert discarded == 0
         # A journal cannot hold an object: those two messages keep only
         # opaque markers, and everything else replays equal.
+        envelopes = [r["data"]["envelope"] for r in records if r["kind"] == "spool"]
         journaled = [
             envelope["payload"] if envelope["kind"] == "message" else "opaque"
-            for record in records
-            if record["kind"] == "spool-batch"
-            for envelope, _size in record["data"]["entries"]
+            for envelope in envelopes
             if envelope["kind"] in ("message", "opaque")
         ]
         expected = [m.payload for m in messages]
@@ -791,7 +785,6 @@ class TestMixedVersionFederation:
         assert codec_peer.directory.codec_frames_sent > 0
         assert json_peer.directory.codec_frames_sent == 0
         assert json_peer.transport.codec_frames_sent == 0
-        assert json_peer.journal.binary is False
 
     def test_codec_off_everywhere_sends_no_binary_frames(self):
         bed, producer, out, sinks = build_fanout([False])
@@ -799,7 +792,6 @@ class TestMixedVersionFederation:
         bed.settle(30.0)
         assert producer.transport.codec_frames_sent == 0
         assert producer.directory.codec_frames_sent == 0
-        assert producer.journal.binary is False
 
     def test_codec_on_everywhere_goes_binary_including_gossip_and_journal(self):
         bed, producer, out, sinks = build_fanout(
@@ -811,12 +803,11 @@ class TestMixedVersionFederation:
         assert [m.payload for m in received] == [f"m{i}" for i in range(60)]
         assert producer.transport.codec_frames_sent > 0
         assert producer.directory.codec_frames_sent > 0
-        assert producer.journal.binary is True
-        # The binary journal replays to the same state a JSON journal
-        # would: every record decodes with its kind intact.
+        # Every record decodes with its kind intact.
+        assert body_magics(producer.journal.blob) <= JOURNAL_MAGICS
         records, _clean, discarded = replay_blob(producer.journal.blob)
         assert discarded == 0
-        assert any(r["kind"] == "spool-batch" or r["kind"] == "spool" for r in records)
+        assert any(r["kind"] == "spool" for r in records)
 
 
 class TestCompressionFederation:

@@ -1,13 +1,13 @@
 """Batched + pipelined peer senders, shared-fanout envelopes, and the
-amortized spool records they write.
+counted acks they journal.
 
 ``UMiddleRuntime(batching_enabled=True)`` switches the per-peer sender
 from one-envelope-per-frame to coalesced batch frames with a pipelined
 ack window.  These tests pin the observable contract: fewer frames and
-fewer wire bytes for the same burst, FIFO delivery order preserved,
-``spool-batch``/counted ``spool-ack`` journal records replacing the
-per-envelope kinds, and the off switch reproducing the legacy wire and
-journal behavior exactly.
+fewer wire bytes for the same burst, FIFO delivery order preserved, one
+``spool`` record per envelope on both planes with one counted
+``spool-ack`` per frame, and the off switch reproducing the paper's
+wire exactly.
 """
 
 import pytest
@@ -72,18 +72,19 @@ class TestBatchedSender:
         _runtime, _sink, received = sinks[0]
         assert [m.payload for m in received] == [f"m{i}" for i in range(BURST)]
         assert producer.transport.batches_sent == 0
-        kinds = record_kinds(producer.journal)
-        assert "spool" in kinds
-        assert "spool-batch" not in kinds
+        assert "spool" in record_kinds(producer.journal)
 
-    def test_batching_on_writes_batch_records_and_counted_acks(self):
+    def test_batched_spools_and_counted_acks(self):
         bed, producer, out, sinks = build_pipeline(batching_enabled=True)
         burst(out)
         bed.settle(30.0)
         records = replay_blob(producer.journal.blob)[0]
-        kinds = [r["kind"] for r in records]
-        assert "spool-batch" in kinds
-        assert "spool" not in kinds
+        spooled = [
+            r["data"]["envelope"]["payload"]
+            for r in records
+            if r["kind"] == "spool" and r["data"]["envelope"]["kind"] == "message"
+        ]
+        assert spooled == [f"m{i}" for i in range(BURST)]
         acks = [r["data"] for r in records if r["kind"] == "spool-ack"]
         assert acks and all("count" in a for a in acks)
         # Counted acks cover the burst with far fewer records.

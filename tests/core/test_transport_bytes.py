@@ -39,15 +39,15 @@ PINNED = {
         "stream_messages": 40,
         "stream_bytes": 31988,
         "last_delivery_s": 1.731788,
-        "producer_journal": (14499, "e59a77e8292fd76d61c97f77b4141b1a6e7c9617"),
-        "consumer_journal": (695, "cba32fea813e021f7a84267d0e2f20453a131426"),
+        "producer_journal": (5186, "792a36197a733081dc77fe0b8cb4288a4fbb822c"),
+        "consumer_journal": (372, "a1bf73265f868110b52394e33050ebb378802810"),
     },
     True: {
         "stream_messages": 19,
         "stream_bytes": 30409,
         "last_delivery_s": 1.7219391499999988,
-        "producer_journal": (4555, "de137d668171907e6e80a80916b7436ff39a0a25"),
-        "consumer_journal": (374, "ffa75f3205a8cfa5526014216625bc9ce60e2b4a"),
+        "producer_journal": (4475, "4afc41a7baab2bc3b6d0ff5384d18ca2c1d535ab"),
+        "consumer_journal": (372, "a1bf73265f868110b52394e33050ebb378802810"),
     },
 }
 
